@@ -33,7 +33,7 @@ from .formats import (
 )
 from .forest_solver import solve_forest
 from .graphs import build_incidence_graph
-from .model import Formula, Kind
+from .model import Formula, Kind, as_threshold_formula
 from .report import SolveReport, fraction_str, make_report, parse_fraction
 
 EXIT_OK = 0
@@ -220,7 +220,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise PreconditionError(f"{kind} requires --input")
         src = parse_instance(_read_text(args.input))
         formula = (
-            reductions.threshold_to_majority(src)
+            reductions.threshold_to_majority(as_threshold_formula(src))
             if kind == "thr2maj"
             else reductions.cnf_to_majority(src)
         )

@@ -105,7 +105,8 @@ def clause_partition(
         if Fraction(mass) <= eps_prime * m:
             cutoff = d
             break
-    assert cutoff is not None
+    if cutoff is None:
+        raise AssertionError("no cutoff found; the scan past the largest clause always succeeds")
     top = ratio * cutoff
     short = tuple(j for j, s in enumerate(sizes) if s < cutoff)
     medium = tuple(j for j, s in enumerate(sizes) if cutoff <= s and Fraction(s) <= top)
@@ -275,7 +276,10 @@ def approx_max_cnf(
     unbalanced strategies (exact short side, all random) so the result never
     falls below either baseline.
     """
-    _require_cnf(f)
+    try:
+        _require_cnf(f)
+    except ContractViolationError as exc:
+        raise PreconditionError(str(exc)) from exc
     eps = parse_fraction(epsilon)
     if not 0 < eps < 1:
         raise PreconditionError(f"epsilon must be in (0, 1), got {eps}")
@@ -344,7 +348,8 @@ def approx_max_cnf(
                 best_value = value
                 best_witness = candidate
 
-    assert best_witness is not None
+    if best_witness is None:
+        raise AssertionError("no candidate scored; trials is at least 1")
     return make_report(
         "cw-as",
         f,

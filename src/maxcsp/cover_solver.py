@@ -227,7 +227,8 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
         if total > best_value:
             best_value = total
             best_witness = witness
-    assert best_witness is not None
+    if best_witness is None:
+        raise AssertionError("no cover assignment scored")
     return OracleResult(best_value, best_witness)
 
 

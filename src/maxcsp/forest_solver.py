@@ -9,6 +9,7 @@ unit threshold on that variable alone and the locally best value is optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ContractViolationError, PreconditionError
 from .graphs import bfs_tree, build_incidence_graph, find_cycle
@@ -58,51 +59,40 @@ def peel_forest(f: Formula) -> PeelOutcome:
         for lit in c.literals:
             var_cons[lit.var].add(j)
     con_alive = [True] * m
-    var_alive = [False] + [True] * n
+    var_alive = [False] + [bool(cons) for cons in var_cons[1:]]
     bits = [0] * (n + 1)
     stats = {"satisfied": 0, "unsatisfied": 0, "steps": 0}
 
-    def remove_constraint(j: int, satisfied: bool) -> None:
-        con_alive[j] = False
-        stats["satisfied" if satisfied else "unsatisfied"] += 1
-        for v in lits[j]:
-            var_cons[v].discard(j)
-        lits[j] = {}
-
-    def cleanup() -> None:
-        # Remove always-true constraints (counted satisfied), exhausted
-        # constraints with a positive threshold (unsatisfied), and variables
-        # with no remaining occurrences, until stable.
-        changed = True
-        while changed:
-            changed = False
-            for j in range(m):
-                if not con_alive[j]:
-                    continue
-                if thresholds[j] == 0:
-                    remove_constraint(j, True)
-                    changed = True
-                elif not lits[j]:
-                    remove_constraint(j, False)
-                    changed = True
-            for v in range(1, n + 1):
-                if var_alive[v] and not var_cons[v]:
+    def cleanup(touched: Iterable[int]) -> None:
+        # Remove the always-true constraints among ``touched`` (counted
+        # satisfied) and the exhausted ones with a positive threshold
+        # (unsatisfied), then the variables left with no occurrences.
+        # Removing either changes no other constraint, so one pass over the
+        # constraints a step touched reaches the fixpoint.
+        for j in touched:
+            if not con_alive[j] or (thresholds[j] != 0 and lits[j]):
+                continue
+            con_alive[j] = False
+            stats["satisfied" if thresholds[j] == 0 else "unsatisfied"] += 1
+            for v in lits[j]:
+                var_cons[v].discard(j)
+                if not var_cons[v]:
                     var_alive[v] = False
-                    changed = True
+            lits[j] = {}
 
-    cleanup()
+    cleanup(range(m))
+    # Peeling one component changes no other, so every root sees the
+    # vertices this first cleanup removed and nothing else.
+    removed = frozenset(
+        [inc.variable_vertex(v) for v in range(1, n + 1) if not var_alive[v]]
+        + [inc.constraint_vertex(j) for j in range(m) if not con_alive[j]]
+    )
 
     visited: set[int] = set()
     for root_var in range(1, n + 1):
         if not var_alive[root_var] or inc.variable_vertex(root_var) in visited:
             continue
         root_vertex = inc.variable_vertex(root_var)
-        removed = frozenset(
-            v
-            for v in range(inc.graph.num_vertices)
-            if (inc.is_variable_vertex(v) and not var_alive[inc.variable_at(v)])
-            or (not inc.is_variable_vertex(v) and not con_alive[inc.constraint_at(v)])
-        )
         depth, parent = bfs_tree(inc.graph, root_vertex, removed)
         visited.update(depth)
         order = sorted(
@@ -141,14 +131,15 @@ def peel_forest(f: Formula) -> PeelOutcome:
             else:
                 value = 1
             bits[var] = value
-            for j in sorted(var_cons[var]):
+            touched = sorted(var_cons[var])
+            for j in touched:
                 literal_true = lits[j][var] == bool(value)
                 del lits[j][var]
                 if literal_true:
                     thresholds[j] -= 1
             var_cons[var].clear()
             var_alive[var] = False
-            cleanup()
+            cleanup(touched)
 
     if any(con_alive):
         raise AssertionError("peel terminated with live constraints")

@@ -105,7 +105,8 @@ def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> SolveReport:
                 best_witness = candidate
         value, witness = best_value, best_witness
 
-    assert witness is not None
+    if witness is None:
+        raise AssertionError("no forest guess scored")
     return make_report(
         "fvs-as",
         f,

@@ -48,25 +48,50 @@ class Graph:
         return f"Graph({self.num_vertices}, edges={self.num_edges})"
 
 
-def connected_components(g: Graph, removed: frozenset[int] = frozenset()) -> list[list[int]]:
-    """Components of g restricted to vertices not in ``removed``, each sorted."""
-    seen: set[int] = set(removed)
-    comps = []
-    for start in range(g.num_vertices):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
+class TwoCore:
+    """The 2-core of G − removed, kept as the set of deleted vertices.
+
+    ``dead`` holds ``removed`` plus every vertex outside the 2-core: the
+    vertices that repeatedly deleting a vertex of degree at most one takes
+    away.  ``degree[v]`` is the number of neighbours of v outside ``dead``
+    for every live v.  The core is empty exactly when G − removed is a
+    forest, and every cycle of G − removed lies inside the core.
+    """
+
+    __slots__ = ("graph", "dead", "degree")
+
+    def __init__(self, g: Graph, removed: Iterable[int] = frozenset()):
+        self.graph = g
+        self.dead = dead = set(removed)
+        self.degree = [len(a - dead) for a in g.adj]
+        self._delete([v for v, d in enumerate(self.degree) if d <= 1 and v not in dead])
+
+    @property
+    def is_empty(self) -> bool:
+        return self.dead.issuperset(range(self.graph.num_vertices))
+
+    def without(self, v: int) -> TwoCore:
+        """The 2-core after also deleting ``v``; peels outward from v only."""
+        child = TwoCore.__new__(TwoCore)
+        child.graph, child.dead, child.degree = self.graph, set(self.dead), self.degree.copy()
+        child._delete([v])
+        return child
+
+    def _delete(self, stack: list[int]) -> None:
+        # Delete the stacked vertices, then every vertex whose degree drops
+        # to one.  Each vertex is deleted once and each edge lowers one
+        # degree once, so a whole-graph pass is linear.
+        adj, dead, degree = self.graph.adj, self.dead, self.degree
         while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+            v = stack.pop()
+            if v in dead:
+                continue
+            dead.add(v)
+            for w in adj[v]:
+                if w not in dead:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        stack.append(w)
 
 
 def bfs_tree(
@@ -89,36 +114,27 @@ def bfs_tree(
     return depth, parent
 
 
-def is_acyclic(g: Graph, removed: frozenset[int] = frozenset()) -> bool:
+def is_acyclic(g: Graph, removed: Iterable[int] = frozenset()) -> bool:
     """Forest test on the subgraph induced by the non-removed vertices."""
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edge_list():
-        if u in removed or v in removed:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return TwoCore(g, removed).is_empty
 
 
-def find_cycle(g: Graph, removed: frozenset[int] = frozenset()) -> list[int] | None:
+def find_cycle(g: Graph, removed: Iterable[int] = frozenset()) -> list[int] | None:
     """Return the vertex list of a short cycle, or None if the graph is a forest.
 
-    Runs a BFS from live vertices and keeps the shortest cycle closed by a
-    non-tree edge; scanning stops once a cycle of length four is in hand
-    (short enough for branching).  Deterministic for a fixed graph.
+    Peels G − removed to its 2-core first, so a forest costs one linear
+    pass.  Otherwise runs a BFS from each core vertex, over the core only,
+    and keeps the shortest cycle closed by a non-tree edge; scanning stops
+    once a cycle of length four is in hand (short enough for branching).
+    Deterministic for a fixed graph.
     """
+    core = TwoCore(g, removed)
+    if core.is_empty:
+        return None
+    dead = core.dead
     best: list[int] | None = None
     for root in range(g.num_vertices):
-        if root in removed or len(g.adj[root]) < 2:
+        if root in dead:
             continue
         depth = {root: 0}
         parent: dict[int, int | None] = {root: None}
@@ -128,7 +144,7 @@ def find_cycle(g: Graph, removed: frozenset[int] = frozenset()) -> list[int] | N
             nxt = []
             for u in frontier:
                 for w in g.sorted_adj[u]:
-                    if w in removed:
+                    if w in dead:
                         continue
                     if w not in depth:
                         depth[w] = depth[u] + 1

@@ -59,7 +59,8 @@ class MccGraph:
 
     def edges_between(self, i: int, j: int) -> list[tuple[int, int]]:
         """Sorted (u, v) pairs with u in part i and v in part j, i < j."""
-        assert i < j
+        if not i < j:
+            raise AssertionError(f"edges_between needs i < j, got {i} and {j}")
         return sorted((u, v) for (a, u), (b, v) in self.edges if a == i and b == j)
 
 

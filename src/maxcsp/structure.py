@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedInstanceError
-from .graphs import Graph, find_cycle, is_acyclic
+from .graphs import Graph, TwoCore, find_cycle, is_acyclic
 
 DEFAULT_VC_BUDGET = 16
 DEFAULT_FVS_BUDGET = 12
@@ -133,19 +133,21 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
     """Exact minimum feedback vertex set if its size is within the budget.
 
     Complete bounded-depth search: find a short cycle and branch on each of
-    its vertices.  Previously explored deletion sets are memoized.
+    its vertices.  Every node carries the 2-core of G − chosen, updated
+    incrementally by the degree-at-most-one deletion rule, so a node whose
+    core is empty is a leaf without a cycle search.  Every FVS contains a
+    vertex of the branched cycle, so ties between optimal witnesses go to
+    the lexicographically smallest vertex set.  Previously explored
+    deletion sets are memoized.
     """
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
     best: list = [None, None]
     seen: set[frozenset[int]] = set()
 
-    def rec(chosen: frozenset[int]) -> None:
-        if chosen in seen:
-            return
+    def rec(chosen: frozenset[int], core: TwoCore) -> None:
         seen.add(chosen)
-        cycle = find_cycle(g, chosen)
-        if cycle is None:
+        if core.is_empty:
             cand = tuple(sorted(chosen))
             if best[0] is None or (len(cand), cand) < (best[0], best[1]):
                 best[0], best[1] = len(cand), cand
@@ -154,10 +156,12 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
             return
         if best[0] is not None and len(chosen) + 1 > best[0]:
             return
-        for v in sorted(cycle):
-            rec(chosen | {v})
+        for v in sorted(find_cycle(g, core.dead)):
+            child = chosen | {v}
+            if child not in seen:
+                rec(child, core.without(v))
 
-    rec(frozenset())
+    rec(frozenset(), TwoCore(g))
     return BudgetedResult(best[0], best[1], budget)
 
 

@@ -94,6 +94,41 @@ def brute_min_fvs(g: Graph, max_size: int) -> int | None:
     return None
 
 
+def brute_lex_min_fvs(g: Graph, max_size: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest minimum feedback vertex set, by enumeration.
+
+    Subsets come by size, then in lexicographic order, so the first one
+    that leaves a forest is the answer.
+    """
+    edges = g.edge_list()
+    for size in range(0, max_size + 1):
+        for subset in itertools.combinations(range(g.num_vertices), size):
+            if is_forest_by_union_find(g, subset, edges):
+                return subset
+    return None
+
+
+def is_forest_by_union_find(g: Graph, removed=(), edges=None) -> bool:
+    """Forest test independent of the library: no edge closes a union-find cycle."""
+    gone = set(removed)
+    parent = list(range(g.num_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edge_list() if edges is None else edges:
+        if u in gone or v in gone:
+            continue
+        a, b = find(u), find(v)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
 # Small graph zoo ------------------------------------------------------------
 
 
@@ -122,6 +157,36 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph(10, outer + spokes + inner)
+
+
+def random_forest_graph(n: int, trees: int, rng: random.Random) -> Graph:
+    """Random forest on n vertices: each vertex past the first ``trees``
+    hangs off a uniformly chosen earlier vertex, under a random relabelling."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[v], label[rng.randrange(v)]) for v in range(trees, n)]
+    return Graph(n, edges)
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    label = list(range(g.num_vertices))
+    rng.shuffle(label)
+    return Graph(g.num_vertices, [(label[u], label[v]) for u, v in g.edge_list()])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edge_list()]
+        offset += g.num_vertices
+    return Graph(offset, edges)
+
+
+def with_pendant_trees(g: Graph, extra: int, rng: random.Random) -> Graph:
+    """``g`` plus ``extra`` new vertices, each hung off a random earlier vertex."""
+    n = g.num_vertices
+    edges = g.edge_list() + [(v, rng.randrange(v)) for v in range(n, n + extra)]
+    return Graph(n + extra, edges)
 
 
 def random_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:

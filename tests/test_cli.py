@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from maxcsp import Formula, at_least, or_clause, parity, serialize_instance
+from maxcsp import Formula, Kind, at_least, or_clause, parity, parse_instance, serialize_instance
 from maxcsp.cli import main
 
 FOREST = "p mcsp 2 3\nt 1 1 2 0\nt 1 -1 0\nt 1 -2 0\n"
@@ -225,3 +225,18 @@ def test_stdin_stdout_support(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "solve", "--alg", "oracle", "-", "--json")
     assert code == 0
     assert json.loads(out)["value"] == 2
+
+
+def test_generate_readme_thr2maj_chain(tmp_path, capsys):
+    t, m = str(tmp_path / "t.mcsp"), str(tmp_path / "m.mcsp")
+    assert main(["generate", "mcc-thr", "-o", t, "--k", "2", "--n", "2", "--complete"]) == 0
+    assert main(["generate", "thr2maj", "-o", m, "--input", t]) == 0
+    f = parse_instance((tmp_path / "m.mcsp").read_text())
+    assert f.num_constraints > 0
+    assert all(c.kind is Kind.MAJORITY for c in f.constraints)
+
+
+def test_solve_cw_as_on_non_cnf_is_precondition_error(tmp_path, capsys):
+    path = write(tmp_path, "a.mcsp", FOREST)
+    code, _ = run_cli(capsys, "solve", "--alg", "cw-as", "--epsilon", "1/4", path)
+    assert code == 2

@@ -135,3 +135,36 @@ def test_isolated_variables_default_to_zero():
     res = solve_forest(f)
     assert res.value == 1
     assert res.witness.value(1) == 0 and res.witness.value(3) == 0
+
+
+def _long_forest(rng: random.Random, n: int, legs: int) -> Formula:
+    """``n`` variables: a spine linked by binary thresholds, every ``legs + 1``-th
+    variable on the spine and the others hung off it, each with a unit constraint.
+
+    ``legs=0`` gives a path.  The unit constraints keep every variable alive
+    until the peel reaches it, so the peel takes exactly one step per variable.
+    """
+    def lit(v: int) -> int:
+        return v if rng.random() < 0.5 else -v
+
+    constraints = []
+    spine_prev = None
+    for v in range(1, n + 1):
+        if (v - 1) % (legs + 1) == 0:
+            if spine_prev is not None:
+                constraints.append(at_least(rng.randint(1, 2), lit(spine_prev), lit(v)))
+            spine_prev = v
+        else:
+            constraints.append(at_least(rng.randint(1, 2), lit(spine_prev), lit(v)))
+        constraints.append(at_least(1, lit(v)))
+    return Formula(n, tuple(constraints))
+
+
+@pytest.mark.parametrize("legs", [0, 3])
+def test_long_path_and_caterpillar(legs):
+    f = _long_forest(random.Random(31 + legs), 2000, legs)
+    out = peel_forest(f)
+    assert out.steps == f.num_vars
+    assert out.removed_satisfied + out.removed_unsatisfied == f.num_constraints
+    res = solve_forest(f)
+    assert res.value == count_satisfied(f, res.witness) == out.value

@@ -7,25 +7,35 @@ from maxcsp import (
     MalformedInstanceError,
     analyze_graph,
     build_incidence_graph,
+    complete_mcc,
     feedback_vertex_set,
     is_feedback_vertex_set,
     is_vertex_cover,
+    mcc_to_threshold,
     neighborhood_diversity,
     or_clause,
     vertex_cover_number,
 )
 
+from maxcsp.graphs import find_cycle, is_acyclic
+
 from helpers import (
+    brute_lex_min_fvs,
     brute_min_fvs,
     brute_min_vertex_cover,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    is_forest_by_union_find,
     minimum_partition_size,
     path_graph,
     petersen_graph,
+    random_forest_graph,
     random_graph,
+    relabel,
     star_graph,
+    with_pendant_trees,
 )
 
 
@@ -165,3 +175,54 @@ def test_incidence_edges_match_occurrences():
         (1, inc.constraint_vertex(0)),
         (1, inc.constraint_vertex(1)),
     ]
+
+
+def _fvs_families():
+    """Seeded small graphs on which the lexicographic FVS witness is checked."""
+    rng = random.Random(41)
+    for _ in range(6):
+        yield random_forest_graph(rng.randint(1, 12), rng.randint(1, 3), rng)
+    for n in range(5, 10):
+        yield relabel(cycle_graph(n), rng)
+    for _ in range(4):
+        parts = [cycle_graph(rng.randint(3, 6)) for _ in range(rng.randint(2, 3))]
+        yield relabel(disjoint_union(*parts), rng)
+    for _ in range(5):
+        yield relabel(with_pendant_trees(cycle_graph(rng.randint(3, 7)), rng.randint(1, 6), rng), rng)
+    for _ in range(4):
+        yield relabel(with_pendant_trees(disjoint_union(cycle_graph(5), complete_graph(4)), 4, rng), rng)
+    for _ in range(8):
+        yield random_graph(rng.randint(2, 9), rng.random(), rng)
+    yield build_incidence_graph(mcc_to_threshold(complete_mcc(2, 2)).formula).graph
+
+
+def test_fvs_witness_is_brute_force_lex_smallest_minimum():
+    for g in _fvs_families():
+        res = feedback_vertex_set(g, 12)
+        assert res.witness == brute_lex_min_fvs(g, 12), g
+        assert res.size == len(res.witness)
+
+
+def test_find_cycle_is_none_exactly_on_forests():
+    rng = random.Random(43)
+    graphs = list(_fvs_families())
+    graphs += [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(60)]
+    for g in graphs:
+        some = frozenset(v for v in range(g.num_vertices) if rng.random() < 0.2)
+        for removed in (frozenset(), some):
+            forest = is_forest_by_union_find(g, removed)
+            assert is_acyclic(g, removed) == forest
+            cycle = find_cycle(g, removed)
+            assert (cycle is None) == forest
+            if cycle is None:
+                continue
+            assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+            assert not removed & set(cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert b in g.adj[a]
+
+
+def test_find_cycle_prefers_short_cycles():
+    # the 9-cycle comes first in vertex order; pendant trees hang off both
+    g = with_pendant_trees(disjoint_union(cycle_graph(9), cycle_graph(4)), 20, random.Random(5))
+    assert len(find_cycle(g)) == 4
