@@ -102,12 +102,32 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_instance(f: Formula, args: argparse.Namespace) -> SolveReport:
+def _exact_memo(var_limit: int) -> cnf_approx.ExactBackend:
+    """Exact optima of the formulas one command meets, each solved once.
+
+    A command builds its own memo, so nothing is cached from one command to
+    the next.  The oracle is looked up on its module at call time, so a
+    wrapper installed there sees every call.
+    """
+    memo: dict[Formula, oracle.OracleResult] = {}
+
+    def exact(sub: Formula) -> oracle.OracleResult:
+        res = memo.get(sub)
+        if res is None:
+            res = memo[sub] = oracle.max_csp_bruteforce(sub, var_limit=var_limit)
+        return res
+
+    return exact
+
+
+def _solve_instance(
+    f: Formula, args: argparse.Namespace, exact: cnf_approx.ExactBackend
+) -> SolveReport:
     alg = args.alg
     if alg in EPSILON_ALGS and args.epsilon is None:
         raise PreconditionError(f"--epsilon is required for {alg}")
     if alg == "oracle":
-        res = oracle.max_csp_bruteforce(f, var_limit=args.oracle_limit)
+        res = exact(f)
         return make_report("oracle", f, res.value, res.witness)
     if alg == "tree":
         res = solve_forest(f)
@@ -136,6 +156,7 @@ def _solve_instance(f: Formula, args: argparse.Namespace) -> SolveReport:
             seed=args.seed,
             trials=args.trials,
             window_exponent=args.window_exponent,
+            exact_backend=exact,
             backend_var_limit=args.oracle_limit,
         )
     if alg == "parity-sat":
@@ -150,12 +171,13 @@ def _solve_instance(f: Formula, args: argparse.Namespace) -> SolveReport:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     f = parse_instance(_read_text(args.file))
+    exact = _exact_memo(args.oracle_limit)
     started = time.perf_counter()
-    report = _solve_instance(f, args)
+    report = _solve_instance(f, args, exact)
     report.wall_time_ms = (time.perf_counter() - started) * 1000.0
     if args.with_oracle:
         try:
-            opt = oracle.max_csp_bruteforce(f, var_limit=args.oracle_limit)
+            opt = exact(f)
             report.oracle_value = opt.value
             if opt.value > 0:
                 report.ratio = Fraction(report.value, opt.value)
@@ -243,41 +265,53 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compare_task(task: tuple) -> tuple:
-    """Worker for compare; module level so it can cross process boundaries."""
-    path, name, alg, eps_str, seed, trials, oracle_limit = task
-    f = parse_instance(_read_text(path))
-    ns = argparse.Namespace(
-        alg=alg,
-        epsilon=eps_str,
-        seed=seed,
-        trials=trials,
-        oracle_limit=oracle_limit,
-        max_vc=structure.DEFAULT_VC_BUDGET,
-        max_fvs=structure.DEFAULT_FVS_BUDGET,
-        window_exponent=cnf_approx.DEFAULT_WINDOW_EXPONENT,
-    )
-    started = time.perf_counter()
-    status = "ok"
-    value: int | None = None
+def _compare_task(task: tuple) -> list[tuple]:
+    """Rows of one instance; module level so it can cross process boundaries.
+
+    The file is parsed once, and every exact solve of the task (the oracle
+    row, cw-as projections, the oracle_opt column) goes through one memo.
+    """
+    path, name, runs, seed, trials, oracle_limit = task
     try:
-        report = _solve_instance(f, ns)
-        value = report.value
-    except PreconditionError:
-        status = "error:precondition"
-    except ResourceLimitError:
-        status = "error:resource"
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    oracle_opt: int | str | None = None
-    ratio = ""
+        f = parse_instance(_read_text(path))
+    except (ParseError, MalformedInstanceError, UnicodeDecodeError):
+        return [(name, alg, eps or "", None, None, "", "error:parse", None) for alg, eps in runs]
+    exact = _exact_memo(oracle_limit)
+    solved = []
+    # The oracle row runs first, so its time_ms holds the exact solve that
+    # the other rows reuse.  An oracle row reads the memo directly; it needs
+    # no SolveReport.
+    for alg, eps_str in sorted(runs, key=lambda run: run[0] != "oracle"):
+        ns = argparse.Namespace(
+            alg=alg,
+            epsilon=eps_str,
+            seed=seed,
+            trials=trials,
+            oracle_limit=oracle_limit,
+            max_vc=structure.DEFAULT_VC_BUDGET,
+            max_fvs=structure.DEFAULT_FVS_BUDGET,
+            window_exponent=cnf_approx.DEFAULT_WINDOW_EXPONENT,
+        )
+        started = time.perf_counter()
+        status = "ok"
+        value: int | None = None
+        try:
+            value = exact(f).value if alg == "oracle" else _solve_instance(f, ns, exact).value
+        except PreconditionError:
+            status = "error:precondition"
+        except ResourceLimitError:
+            status = "error:resource"
+        solved.append((alg, eps_str or "", value, status, (time.perf_counter() - started) * 1000.0))
     try:
-        opt = oracle.max_csp_bruteforce(f, var_limit=oracle_limit).value
-        oracle_opt = opt
-        if value is not None and opt > 0:
-            ratio = fraction_str(Fraction(value, opt))
+        opt: int | None = exact(f).value
     except ResourceLimitError:
-        oracle_opt = "unavailable"
-    return (name, alg, eps_str or "", value, oracle_opt, ratio, status, elapsed_ms)
+        opt = None
+    rows = []
+    for alg, eps, value, status, elapsed_ms in solved:
+        ratio = fraction_str(Fraction(value, opt)) if value is not None and opt else ""
+        oracle_opt = "unavailable" if opt is None else opt
+        rows.append((name, alg, eps, value, oracle_opt, ratio, status, elapsed_ms))
+    return rows
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -295,22 +329,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
     files = sorted(
         name for name in os.listdir(args.dir) if name.endswith(".mcsp")
     )
-    tasks = []
-    for name in files:
-        path = os.path.join(args.dir, name)
-        for alg in algs:
-            if alg in EPSILON_ALGS:
-                if not epsilons:
-                    raise PreconditionError(f"{alg} requires --epsilons")
-                for eps in epsilons:
-                    tasks.append((path, name, alg, eps, args.seed, args.trials, args.oracle_limit))
-            else:
-                tasks.append((path, name, alg, None, args.seed, args.trials, args.oracle_limit))
+    missing = [a for a in algs if a in EPSILON_ALGS and not epsilons]
+    if files and missing:
+        raise PreconditionError(f"{missing[0]} requires --epsilons")
+    runs = [(alg, eps) for alg in algs for eps in (epsilons if alg in EPSILON_ALGS else [None])]
+    tasks = [
+        (os.path.join(args.dir, name), name, runs, args.seed, args.trials, args.oracle_limit)
+        for name in files
+    ]
     if args.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_compare_task, tasks))
+            per_task = list(pool.map(_compare_task, tasks))
     else:
-        rows = [_compare_task(t) for t in tasks]
+        per_task = [_compare_task(t) for t in tasks]
+    rows = [row for task_rows in per_task for row in task_rows]
     rows.sort(key=lambda r: (r[0], r[1], Fraction(r[2]) if r[2] else Fraction(-1)))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -327,7 +359,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 "" if opt is None else opt,
                 ratio,
                 status,
-                f"{elapsed:.3f}" if args.timing else "",
+                f"{elapsed:.3f}" if args.timing and elapsed is not None else "",
             ]
         )
     _write_text(args.output, buf.getvalue())

@@ -274,7 +274,9 @@ def approx_max_cnf(
     exponent; larger eps values are accepted and simply run the same
     pipeline.  In the balanced branch each trial also scores the two
     unbalanced strategies (exact short side, all random) so the result never
-    falls below either baseline.
+    falls below either baseline.  ``backend_var_limit`` bounds every exact
+    step, whichever backend solves it (the oracle when ``exact_backend`` is
+    None).
     """
     try:
         _require_cnf(f)
@@ -285,15 +287,17 @@ def approx_max_cnf(
         raise PreconditionError(f"epsilon must be in (0, 1), got {eps}")
     if trials < 1:
         raise PreconditionError("trials must be at least 1")
-    if exact_backend is None:
-        def exact_backend(sub: Formula) -> OracleResult:
-            if sub.num_vars > backend_var_limit:
-                raise ResourceLimitError(
-                    f"exact backend limit is {backend_var_limit} variables but the "
-                    f"subformula has {sub.num_vars}; raise the backend limit or use "
-                    "fewer variables"
-                )
+
+    def exact(sub: Formula) -> OracleResult:
+        if sub.num_vars > backend_var_limit:
+            raise ResourceLimitError(
+                f"exact backend limit is {backend_var_limit} variables but the "
+                f"subformula has {sub.num_vars}; raise the backend limit or use "
+                "fewer variables"
+            )
+        if exact_backend is None:
             return max_csp_bruteforce(sub, var_limit=backend_var_limit)
+        return exact_backend(sub)
 
     partition = clause_partition(f, eps * eps, window_exponent)
     m = f.num_constraints
@@ -317,10 +321,10 @@ def approx_max_cnf(
             for j in partition.short
             if not any(v in chosen for v in f.constraints[j].variables)
         ]
-        candidates.append(("main", _project_and_solve(f, untouched_short, exact_backend)))
+        candidates.append(("main", _project_and_solve(f, untouched_short, exact)))
         try:
             # baseline: the unbalanced-short strategy on the same instance
-            candidates.append(("short", _project_and_solve(f, partition.short, exact_backend)))
+            candidates.append(("short", _project_and_solve(f, partition.short, exact)))
         except ResourceLimitError:
             pass  # the baseline is optional quality, the main candidate stands
         candidates.append(("rand", {}))
@@ -332,7 +336,7 @@ def approx_max_cnf(
                 raise AssertionError("unbalanced branch reached with both sides large")
         if len(partition.short) >= len(partition.long):
             route = "unbalanced-short"
-            candidates.append(("main", _project_and_solve(f, partition.short, exact_backend)))
+            candidates.append(("main", _project_and_solve(f, partition.short, exact)))
         else:
             route = "unbalanced-long"
             candidates.append(("main", {}))

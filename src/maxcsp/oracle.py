@@ -16,12 +16,14 @@ from .model import (
     Formula,
     Kind,
     Literal,
+    as_threshold,
     count_satisfied,
     normalize_parity,
 )
 
 DEFAULT_VAR_LIMIT = 26
 _CHUNK_BITS = 16
+_MAX_KERNEL_VARS = 255
 
 
 @dataclass(frozen=True)
@@ -36,60 +38,75 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
     The witness is the lexicographically first maximizer over the tuple
     (x1, ..., xn).  Enumeration is vectorized in fixed-size chunks; variable
     x1 maps to the most significant index bit so that ascending chunk order
-    is lexicographic order.
+    is lexicographic order.  At most 255 variables, whatever ``var_limit``.
     """
     n = f.num_vars
-    if n > var_limit:
+    # A constraint's variables are distinct, so its true-literal count is at
+    # most n; the uint8 accumulator below holds it only up to 255.
+    limit = min(var_limit, _MAX_KERNEL_VARS)
+    if n > limit:
         raise ResourceLimitError(
-            f"instance has {n} variables, oracle limit is {var_limit}"
+            f"instance has {n} variables, oracle limit is {limit}"
         )
     if n == 0:
         empty = Assignment(())
         return OracleResult(count_satisfied(f, empty), empty)
 
+    # Index bits below chunk_bits repeat in every chunk, so their arrays are
+    # built once; bits above are constant within a chunk and enter each
+    # constraint's count as a scalar.
+    chunk_bits = min(n, _CHUNK_BITS)
+    chunk = 1 << chunk_bits
+    idx = np.arange(chunk)
+    low: dict[tuple[int, bool], np.ndarray] = {}
+    for shift in range(chunk_bits):
+        bits = ((idx >> shift) & 1).astype(np.uint8)
+        low[shift, True] = bits
+        low[shift, False] = bits ^ 1
+
+    # Every kind except PARITY is "at least t literals true".  Constraints
+    # that hold or fail whatever the assignment never reach the arrays.
+    always = 0
     specs = []
     for c in f.constraints:
-        lits = tuple((n - lit.var, lit.positive) for lit in c.literals)
-        specs.append((c, lits))
+        lows, highs = [], []
+        for lit in c.literals:
+            shift = n - lit.var
+            if shift < chunk_bits:
+                lows.append((shift, lit.positive))
+            else:
+                highs.append((shift - chunk_bits, lit.positive))
+        if c.kind is Kind.PARITY:
+            specs.append((lows, highs, True, c.parity_rhs))
+            continue
+        t = as_threshold(c).threshold
+        if t <= 0:
+            always += 1
+        elif t <= c.arity:
+            specs.append((lows, highs, False, t))
 
-    total = 1 << n
-    chunk = 1 << min(n, _CHUNK_BITS)
+    acc = np.empty(chunk, dtype=np.uint8)
+    counts = np.empty(chunk, dtype=np.int32)
     best_value = -1
     best_index = 0
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        cache: dict[int, np.ndarray] = {}
-        counts = np.zeros(hi - lo, dtype=np.int32)
-        for c, lits in specs:
-            acc = np.zeros(hi - lo, dtype=np.int32)
-            for shift, positive in lits:
-                bits = cache.get(shift)
-                if bits is None:
-                    bits = ((idx >> shift) & 1).astype(np.int32)
-                    cache[shift] = bits
-                acc += bits if positive else 1 - bits
-            counts += _satisfied_mask(c, acc)
-        chunk_max = int(counts.max())
-        if chunk_max > best_value:
-            best_value = chunk_max
-            best_index = lo + int(np.argmax(counts))
+    for high in range(1 << (n - chunk_bits)):
+        counts.fill(0)
+        for lows, highs, is_parity, rhs in specs:
+            acc.fill(sum(((high >> s) & 1) == p for s, p in highs))
+            for lit in lows:
+                acc += low[lit]
+            if is_parity:
+                acc &= 1
+                counts += acc == rhs
+            else:
+                counts += acc >= rhs
+        # argmax is the first maximiser, so ties go to the smaller index
+        i = int(np.argmax(counts))
+        if counts[i] > best_value:
+            best_value = int(counts[i])
+            best_index = (high << chunk_bits) + i
     bits = tuple((best_index >> (n - i)) & 1 for i in range(1, n + 1))
-    return OracleResult(best_value, Assignment(bits))
-
-
-def _satisfied_mask(c: Constraint, true_counts: np.ndarray) -> np.ndarray:
-    if c.kind is Kind.OR:
-        return true_counts >= 1
-    if c.kind is Kind.AND:
-        return true_counts == c.arity
-    if c.kind is Kind.PARITY:
-        return (true_counts & 1) == c.parity_rhs
-    if c.kind is Kind.THRESHOLD:
-        return true_counts >= c.threshold
-    if c.kind is Kind.MAJORITY:
-        return true_counts >= (c.arity + 1) // 2
-    raise ContractViolationError(f"unknown constraint kind {c.kind!r}")
+    return OracleResult(best_value + always, Assignment(bits))
 
 
 def parity_gauss_satisfiable(f: Formula) -> tuple[bool, Assignment | None]:

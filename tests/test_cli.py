@@ -240,3 +240,117 @@ def test_solve_cw_as_on_non_cnf_is_precondition_error(tmp_path, capsys):
     path = write(tmp_path, "a.mcsp", FOREST)
     code, _ = run_cli(capsys, "solve", "--alg", "cw-as", "--epsilon", "1/4", path)
     assert code == 2
+
+
+def count_oracle_calls(monkeypatch) -> list:
+    """Record every formula the CLI hands to the oracle."""
+    from maxcsp import oracle
+
+    calls = []
+    real = oracle.max_csp_bruteforce
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "max_csp_bruteforce", counting)
+    return calls
+
+
+def test_solve_oracle_with_oracle_runs_the_oracle_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "a.mcsp", FOREST)
+    calls = count_oracle_calls(monkeypatch)
+    code, out = run_cli(capsys, "solve", "--alg", "oracle", path, "--with-oracle", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["value"] == payload["oracle_value"] == 2 and payload["ratio"] == "1/1"
+
+
+def test_compare_bad_file_fails_only_its_rows(tmp_path, capsys):
+    good = tmp_path / "good"
+    good.mkdir()
+    write(good, "a.mcsp", FOREST)
+    write(good, "c.mcsp", PARITY)
+    args = ["compare", "--algs", "oracle,fvs-as", "--epsilons", "1/2", "--seed", "3"]
+    assert main(args + ["--dir", str(good), "--workers", "1", "-o", str(tmp_path / "good.csv")]) == 0
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    write(mixed, "a.mcsp", FOREST)
+    write(mixed, "b.mcsp", "p mcsp 1 1\no 1 -1 0\n")  # a variable twice in one clause
+    write(mixed, "c.mcsp", PARITY)
+    (mixed / "d.mcsp").write_bytes(b"c caf\xc3\xa9\n" + FOREST.encode())  # not ASCII
+    csvs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"mixed{workers}.csv"
+        assert main(args + ["--dir", str(mixed), "--workers", workers, "-o", str(out)]) == 0
+        csvs.append(out.read_text())
+    assert csvs[0] == csvs[1]
+    lines = csvs[0].splitlines()
+    bad = ("b.mcsp", "d.mcsp")
+    assert [line for line in lines if not line.startswith(bad)] == (
+        (tmp_path / "good.csv").read_text().splitlines()
+    )
+    assert [line for line in lines if line.startswith(bad)] == [
+        f"{name},{alg},{eps},,,,error:parse,"
+        for name in bad
+        for alg, eps in (("fvs-as", "1/2"), ("oracle", ""))
+    ]
+
+
+def test_compare_solves_each_formula_once_and_matches_solve(tmp_path, capsys, monkeypatch):
+    import csv
+    import random as random_mod
+
+    from maxcsp import approx_max_cnf, max_csp_bruteforce, random_formula
+
+    from helpers import random_cnf
+
+    rng = random_mod.Random(12)
+    formulas = {
+        "full.mcsp": random_cnf(rng, num_vars=7, num_clauses=9, arities=[1, 2, 3]),
+        # variable 1 occurs nowhere, so cw-as projects onto a smaller formula
+        "gap.mcsp": Formula(6, (or_clause(2, -3), or_clause(-2, 4), or_clause(5), or_clause(-6, 3))),
+        "rand.mcsp": random_formula(8, 12, {"OR": 1}, (1, 3), seed=4),
+    }
+    for name, f in formulas.items():
+        write(tmp_path, name, serialize_instance(f))
+    epsilons = ("1/4", "1/2")
+    expected = []
+    for name in sorted(formulas):
+        f = formulas[name]
+        exact = [f]
+        for eps in epsilons:
+            def recording(sub):
+                if sub not in exact:
+                    exact.append(sub)
+                return max_csp_bruteforce(sub)
+
+            approx_max_cnf(f, eps, seed=7, exact_backend=recording)
+        expected.extend(exact)
+    assert len(expected) > len(formulas)  # some projection differs from its instance
+
+    calls = count_oracle_calls(monkeypatch)
+    out = tmp_path / "out.csv"
+    code = main(
+        [
+            "compare", "--algs", "oracle,cw-as", "--epsilons", ",".join(epsilons),
+            "--dir", str(tmp_path), "--seed", "7", "--workers", "1", "-o", str(out),
+        ]
+    )
+    assert code == 0
+    assert calls == expected
+
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 3 * len(formulas)
+    for row in rows:
+        path = str(tmp_path / row["instance"])
+        argv = ["solve", "--alg", row["algorithm"], path, "--seed", "7", "--json"]
+        if row["epsilon"]:
+            argv += ["--epsilon", row["epsilon"]]
+        code, text = run_cli(capsys, *argv)
+        assert code == 0
+        assert row["value"] == str(json.loads(text)["value"])
+        code, text = run_cli(capsys, "solve", "--alg", "oracle", path, "--json")
+        assert row["oracle_opt"] == str(json.loads(text)["value"])
+        assert row["status"] == "ok"

@@ -4,12 +4,17 @@ import pytest
 
 from maxcsp import (
     Assignment,
+    Constraint,
     ContractViolationError,
     Formula,
     Kind,
+    Literal,
     MalformedInstanceError,
     ResourceLimitError,
+    and_term,
+    at_least,
     count_satisfied,
+    majority,
     max_csp_bruteforce,
     or_clause,
     parity,
@@ -18,6 +23,7 @@ from maxcsp import (
     serialize_instance,
 )
 
+from maxcsp import oracle
 from helpers import naive_max_csp
 
 
@@ -71,6 +77,97 @@ def test_oracle_invariant_under_constraint_permutation():
         g = Formula(f.num_vars, tuple(f.constraints[i] for i in order))
         res = max_csp_bruteforce(g)
         assert res.value == base.value and res.witness == base.witness
+
+
+def assert_matches_naive(f):
+    """The kernel agrees with the plain product enumeration on value and on
+    the lexicographically first maximizer."""
+    value, witness = naive_max_csp(f)
+    res = max_csp_bruteforce(f)
+    assert res.value == value
+    assert res.witness == witness
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_oracle_kernel_multi_chunk(n):
+    # 2^17 and 2^18 assignments span two and four chunks of 2^16; the
+    # constraints touch both the chunk-invariant low bits and the high bits
+    f = random_formula(n, 5, {"OR": 1, "PARITY": 1, "THRESHOLD": 1, "MAJORITY": 1}, (1, 4), seed=10)
+    assert any(lit.var <= n - 16 for c in f.constraints for lit in c.literals)
+    assert_matches_naive(f)
+
+
+def test_oracle_kernel_many_small_chunks(monkeypatch):
+    # the same chunk split at small n: every variable above the low bits is
+    # a per-chunk scalar
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 3)
+    rng = random.Random(17)
+    kinds = {"OR": 1, "AND": 1, "PARITY": 1, "THRESHOLD": 1, "MAJORITY": 1}
+    for trial in range(40):
+        n = rng.randint(1, 9)
+        f = random_formula(n, rng.randint(0, 12), kinds, (0, min(4, n)), seed=500 + trial)
+        assert_matches_naive(f)
+
+
+def test_oracle_kernel_forced_ties():
+    n = 17
+    # optimum 2 at x17=1, x1=0 (first chunk) and at x1=1, x17=0 (second chunk)
+    assert_matches_naive(Formula(n, (or_clause(1, 17), or_clause(-1, -17))))
+    # every maximizer has x1=1, so none lies in the first chunk; ties inside
+    # the second chunk go to the smallest index
+    res = max_csp_bruteforce(Formula(n, (or_clause(1), parity(0, 2, 3), or_clause(-2, 16))))
+    assert res.value == 3 and res.witness == Assignment((1,) + (0,) * (n - 1))
+    # every assignment ties: the witness is all zeros
+    res = max_csp_bruteforce(Formula(n, (parity(1, 4, 5), parity(0, 4, 5))))
+    assert res.value == 1 and res.witness == Assignment.zeros(n)
+
+
+def test_oracle_kernel_constant_constraints():
+    # arity-0 OR never holds, arity-0 AND always does; THRESHOLD 0 always
+    # holds and a threshold above the arity never does
+    f = Formula(
+        3,
+        (
+            Constraint(Kind.OR, ()),
+            Constraint(Kind.AND, ()),
+            Constraint(Kind.MAJORITY, ()),
+            at_least(0, 1, -2),
+            at_least(3, 1, 2),
+            at_least(5, -1, 2, 3),
+            and_term(1, -3),
+            majority(-1, 2, 3),
+        ),
+    )
+    assert_matches_naive(f)
+    assert max_csp_bruteforce(Formula(2, (Constraint(Kind.OR, ()), at_least(3, 1, 2)))).value == 0
+
+
+@pytest.mark.parametrize("rhs", [0, 1])
+def test_oracle_kernel_parity_rhs(rhs):
+    f = Formula(
+        5,
+        (
+            parity(rhs, 1, -2, 3),
+            parity(rhs, -4, 5),
+            parity(rhs),
+            parity(1 - rhs, 2, 4),
+            parity(rhs, Literal(1, False), Literal(5, False)),
+        ),
+    )
+    assert_matches_naive(f)
+
+
+def test_oracle_kernel_counts_beyond_16_bits():
+    # 70 000 satisfied constraints overflow any 16-bit counter
+    f = Formula(2, (or_clause(1),) * 40_000 + (or_clause(-2),) * 30_000 + (parity(0, 1, 2),) * 5)
+    assert_matches_naive(f)
+    assert max_csp_bruteforce(f).value == 70_000
+
+
+def test_oracle_kernel_rejects_counts_beyond_uint8(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_KERNEL_VARS", 4)
+    with pytest.raises(ResourceLimitError):
+        max_csp_bruteforce(Formula(5, (or_clause(1),)))
 
 
 def test_gauss_single_equation():
