@@ -48,8 +48,15 @@ EPSILON_ALGS = {"fvs-as", "cw-as"}
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        pos = next(i for i, byte in enumerate(data) if byte > 0x7F)
+        line = data.count(b"\n", 0, pos) + 1
+        raise ParseError(line, f"not ASCII, byte 0x{data[pos]:02x}", path) from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -274,7 +281,7 @@ def _compare_task(task: tuple) -> list[tuple]:
     path, name, runs, seed, trials, oracle_limit = task
     try:
         f = parse_instance(_read_text(path))
-    except (ParseError, MalformedInstanceError, UnicodeDecodeError):
+    except (ParseError, MalformedInstanceError):
         return [(name, alg, eps or "", None, None, "", "error:parse", None) for alg, eps in runs]
     exact = _exact_memo(oracle_limit)
     solved = []

@@ -5,12 +5,15 @@ the cover then have all variables fixed and are counted directly, while the
 at-most-k covered constraints form a residual whose optimum is found by
 testing constraint subsets in decreasing size with a type-vector counting
 argument: variables with identical occurrence patterns are interchangeable,
-so only the number set to true per pattern matters.
+so only the number set to true per pattern matters.  Once a level of subsets
+outnumbers the assignments of the residual's occurring variables, those
+assignments are enumerated instead (see ``residual_exact_max``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 from typing import Sequence
 
 from .errors import ContractViolationError, PreconditionError
@@ -24,7 +27,7 @@ from .model import (
     eval_constraint,
     simplify_fix_variable,
 )
-from .oracle import OracleResult
+from .oracle import _CHUNK_BITS, OracleResult, _first_max_satisfied_set
 
 CoverSplit = VertexSplit
 
@@ -42,26 +45,28 @@ def type_vector(var: int, constraints: Sequence[Constraint]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _occurrence_maps(f: Formula) -> list[dict[int, int]]:
+def _occurrence_maps(num_vars: int, constraints: Sequence[Constraint]) -> list[dict[int, int]]:
     """Per variable, the map constraint-position -> +1/-1 for its occurrences."""
-    occ: list[dict[int, int]] = [dict() for _ in range(f.num_vars + 1)]
-    for j, c in enumerate(f.constraints):
+    occ: list[dict[int, int]] = [dict() for _ in range(num_vars + 1)]
+    for j, c in enumerate(constraints):
         for lit in c.literals:
             occ[lit.var][j] = 1 if lit.positive else -1
     return occ
 
 
 def _group_by_type(
-    num_vars: int, constraints: Sequence[Constraint]
+    occ: Sequence[dict[int, int]], variables: Sequence[int], positions: Sequence[int]
 ) -> dict[tuple[int, ...], list[int]]:
+    """Type classes of ``variables`` over the constraints at ``positions``:
+    variables with the same occurrence pattern there share a class, and
+    variables that occur in none of them are left out."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    zero = (0,) * len(constraints)
-    for x in range(1, num_vars + 1):
-        vec = type_vector(x, constraints)
-        if vec == zero:
-            continue
-        groups.setdefault(vec, []).append(x)
-    if len(groups) > min(3 ** len(constraints), num_vars):
+    zero = (0,) * len(positions)
+    for x in variables:
+        vec = tuple(occ[x].get(j, 0) for j in positions)
+        if vec != zero:
+            groups.setdefault(vec, []).append(x)
+    if len(groups) > min(3 ** min(len(positions), 40), len(variables)):
         raise AssertionError("more type classes than possible")
     return groups
 
@@ -81,7 +86,8 @@ def feasible_true_counts(
     """
     k = len(constraints)
     if groups is None:
-        groups = _group_by_type(num_vars, constraints)
+        occ = _occurrence_maps(num_vars, constraints)
+        groups = _group_by_type(occ, range(1, num_vars + 1), range(k))
     vectors = sorted(groups)
     sizes = [len(groups[v]) for v in vectors]
     targets = [c.effective_threshold() for c in constraints]
@@ -141,32 +147,47 @@ def _selection_to_assignment(
     return Assignment(tuple(bits))
 
 
+def _subset_witness(
+    thr: Formula, occ: Sequence[dict[int, int]], variables: Sequence[int], subset: Sequence[int]
+) -> Assignment | None:
+    """An assignment satisfying every constraint of ``subset``, or None."""
+    groups = _group_by_type(occ, variables, subset)
+    selection = feasible_true_counts(thr.num_vars, [thr.constraints[j] for j in subset], groups)
+    if selection is None:
+        return None
+    return _selection_to_assignment(thr.num_vars, groups, selection)
+
+
 def residual_exact_max(f: Formula) -> OracleResult:
     """Maximum simultaneously satisfiable constraints of a small residual.
 
-    Iterates constraint subsets in decreasing cardinality (lexicographic
-    within a size) and returns on the first feasible subset; monotonicity of
+    Tests constraint subsets in decreasing cardinality (lexicographic within
+    a size) and returns on the first feasible subset; monotonicity of
     feasibility under taking subsets makes that the optimum.  The witness
     sets, per type class, the lowest-index variables true.
+
+    A level of C(m, s) subsets costs more than enumerating the 2^r
+    assignments of the r occurring variables once C(m, s) > 2^r.  From the
+    first such level on, when r fits one oracle chunk, the satisfied sets of
+    the maximisers are enumerated instead: the first feasible subset of the
+    remaining levels is the first of them in the same order, and its witness
+    comes from the same type-class search, so the result is unchanged.
     """
     thr = as_threshold_formula(f)
     m = thr.num_constraints
-    occ = _occurrence_maps(thr)
+    occ = _occurrence_maps(thr.num_vars, thr.constraints)
     relevant = [x for x in range(1, thr.num_vars + 1) if occ[x]]
+    r = len(relevant)
     for size in range(m, -1, -1):
+        if r <= _CHUNK_BITS and comb(m, size) > 1 << r:
+            subset = _first_max_satisfied_set(thr.constraints, relevant)
+            witness = _subset_witness(thr, occ, relevant, subset)
+            if witness is None or len(subset) > size:
+                raise AssertionError("a maximiser's satisfied set failed the subset search")
+            return OracleResult(len(subset), witness)
         for subset in combinations(range(m), size):
-            cons = [thr.constraints[j] for j in subset]
-            groups: dict[tuple[int, ...], list[int]] = {}
-            zero = (0,) * size
-            for x in relevant:
-                vec = tuple(occ[x].get(j, 0) for j in subset)
-                if vec != zero:
-                    groups.setdefault(vec, []).append(x)
-            if len(groups) > min(3 ** size if size < 40 else len(relevant) + 1, len(relevant)):
-                raise AssertionError("more type classes than possible")
-            selection = feasible_true_counts(thr.num_vars, cons, groups)
-            if selection is not None:
-                witness = _selection_to_assignment(thr.num_vars, groups, selection)
+            witness = _subset_witness(thr, occ, relevant, subset)
+            if witness is not None:
                 return OracleResult(size, witness)
     raise AssertionError("the empty subset is always feasible")
 

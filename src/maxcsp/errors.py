@@ -28,7 +28,10 @@ class LemmaViolationError(MaxCspError, RuntimeError):
 class ParseError(MaxCspError, ValueError):
     """Input text does not conform to the expected file format."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path: str | None = None):
+        if path is None:
+            super().__init__(f"line {line_number}: {message}")
+        else:
+            super().__init__(f"{path}: {message} (line {line_number})")
         self.line_number = line_number
         self.message = message

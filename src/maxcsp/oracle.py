@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,52 +54,30 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
 
     # Index bits below chunk_bits repeat in every chunk, so their arrays are
     # built once; bits above are constant within a chunk and enter each
-    # constraint's count as a scalar.
+    # constraint's count as a scalar.  x1 is the most significant bit.
     chunk_bits = min(n, _CHUNK_BITS)
-    chunk = 1 << chunk_bits
-    idx = np.arange(chunk)
-    low: dict[tuple[int, bool], np.ndarray] = {}
-    for shift in range(chunk_bits):
-        bits = ((idx >> shift) & 1).astype(np.uint8)
-        low[shift, True] = bits
-        low[shift, False] = bits ^ 1
-
-    # Every kind except PARITY is "at least t literals true".  Constraints
-    # that hold or fail whatever the assignment never reach the arrays.
+    low = _low_bits(chunk_bits)
+    bit_of = {x: n - x for x in range(1, n + 1)}
+    # Constraints that hold or fail whatever the assignment never reach the
+    # arrays.
     always = 0
     specs = []
     for c in f.constraints:
-        lows, highs = [], []
-        for lit in c.literals:
-            shift = n - lit.var
-            if shift < chunk_bits:
-                lows.append((shift, lit.positive))
-            else:
-                highs.append((shift - chunk_bits, lit.positive))
-        if c.kind is Kind.PARITY:
-            specs.append((lows, highs, True, c.parity_rhs))
-            continue
-        t = as_threshold(c).threshold
-        if t <= 0:
+        spec = _mask_spec(c, bit_of, chunk_bits, low)
+        if spec is True:
             always += 1
-        elif t <= c.arity:
-            specs.append((lows, highs, False, t))
+        elif spec is not False:
+            specs.append(spec)
 
+    chunk = 1 << chunk_bits
     acc = np.empty(chunk, dtype=np.uint8)
     counts = np.empty(chunk, dtype=np.int32)
     best_value = -1
     best_index = 0
     for high in range(1 << (n - chunk_bits)):
         counts.fill(0)
-        for lows, highs, is_parity, rhs in specs:
-            acc.fill(sum(((high >> s) & 1) == p for s, p in highs))
-            for lit in lows:
-                acc += low[lit]
-            if is_parity:
-                acc &= 1
-                counts += acc == rhs
-            else:
-                counts += acc >= rhs
+        for spec in specs:
+            counts += _mask(spec, high, acc)
         # argmax is the first maximiser, so ties go to the smaller index
         i = int(np.argmax(counts))
         if counts[i] > best_value:
@@ -107,6 +85,99 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
             best_index = (high << chunk_bits) + i
     bits = tuple((best_index >> (n - i)) & 1 for i in range(1, n + 1))
     return OracleResult(best_value + always, Assignment(bits))
+
+
+def _low_bits(chunk_bits: int) -> dict[tuple[int, bool], np.ndarray]:
+    """Per index bit below ``chunk_bits`` and sign, that literal's 0/1 value
+    at every position of a chunk of 2^chunk_bits assignments."""
+    idx = np.arange(1 << chunk_bits)
+    low: dict[tuple[int, bool], np.ndarray] = {}
+    for b in range(chunk_bits):
+        bits = ((idx >> b) & 1).astype(np.uint8)
+        low[b, True] = bits
+        low[b, False] = bits ^ 1
+    return low
+
+
+def _mask_spec(
+    c: Constraint,
+    bit_of: Mapping[int, int],
+    chunk_bits: int,
+    low: dict[tuple[int, bool], np.ndarray],
+):
+    """How ``_mask`` tests ``c``: True or False for a constraint that holds or
+    fails whatever the assignment, else ``(lows, highs, is_parity, rhs)``.
+
+    ``bit_of`` maps each variable of ``c`` to its index bit.  Literals on bits
+    below ``chunk_bits`` go to ``lows`` as their ``low`` arrays; the others go
+    to ``highs``, their bit counted from ``chunk_bits``.  Every kind except
+    PARITY is "at least t literals true".
+    """
+    lows, highs = [], []
+    for lit in c.literals:
+        b = bit_of[lit.var]
+        if b < chunk_bits:
+            lows.append(low[b, lit.positive])
+        else:
+            highs.append((b - chunk_bits, lit.positive))
+    if c.kind is Kind.PARITY:
+        return lows, highs, True, c.parity_rhs
+    t = as_threshold(c).threshold
+    if t <= 0 or t > c.arity:
+        return t <= 0
+    return lows, highs, False, t
+
+
+def _mask(spec, high: int, acc: np.ndarray) -> np.ndarray:
+    """Which assignments of chunk ``high`` satisfy the constraint of ``spec``.
+
+    ``acc`` is a ``uint8`` scratch array of the chunk's length; a constraint's
+    variables are distinct, so its true-literal count fits while n <= 255.
+    The result is a new array.
+    """
+    lows, highs, is_parity, rhs = spec
+    acc.fill(sum(((high >> s) & 1) == p for s, p in highs) if highs else 0)
+    for bits in lows:
+        acc += bits
+    if is_parity:
+        acc &= 1
+        return acc == rhs
+    return acc >= rhs
+
+
+def _first_max_satisfied_set(
+    constraints: Sequence[Constraint], variables: Sequence[int]
+) -> list[int]:
+    """Satisfied set of a maximiser over the 2^r assignments of ``variables``,
+    the first in ``itertools.combinations`` order among the maximisers' sets.
+
+    ``variables`` must hold every variable of ``constraints`` and at most
+    ``_CHUNK_BITS`` of them, so one chunk covers all assignments.  Among sets
+    of one size, the first in that order is the one whose membership vector,
+    constraint 0 first, is largest; so the maximisers are narrowed,
+    constraint by constraint, to those that satisfy it whenever any does.
+    """
+    r = len(variables)
+    low = _low_bits(r)
+    bit_of = {x: b for b, x in enumerate(variables)}
+    acc = np.empty(1 << r, dtype=np.uint8)
+    specs = [_mask_spec(c, bit_of, r, low) for c in constraints]
+
+    def mask(spec):
+        # a constant constraint is an all-true or all-false row
+        return spec if isinstance(spec, bool) else _mask(spec, 0, acc)
+
+    counts = np.zeros(1 << r, dtype=np.int32)
+    for spec in specs:
+        counts += mask(spec)
+    chosen = counts == counts.max()
+    subset = []
+    for j, spec in enumerate(specs):
+        hit = chosen & mask(spec)
+        if hit.any():
+            chosen = hit
+            subset.append(j)
+    return subset
 
 
 def parity_gauss_satisfiable(f: Formula) -> tuple[bool, Assignment | None]:

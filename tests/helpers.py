@@ -28,6 +28,39 @@ def naive_max_csp(f: Formula) -> tuple[int, Assignment]:
     return best_v, best_a
 
 
+def subset_search_residual_max(f: Formula) -> tuple[int, Assignment]:
+    """Plain subset search of the exact residual, without the cost routing.
+
+    Tests constraint subsets by decreasing size, lexicographically within a
+    size, and returns on the first feasible one; the witness sets the
+    lowest-index variables of each type class true.
+    """
+    from maxcsp import as_threshold_formula
+    from maxcsp.cover_solver import feasible_true_counts
+
+    thr = as_threshold_formula(f)
+    m = thr.num_constraints
+    for size in range(m, -1, -1):
+        for subset in itertools.combinations(range(m), size):
+            cons = [thr.constraints[j] for j in subset]
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for x in range(1, thr.num_vars + 1):
+                vec = []
+                for c in cons:
+                    sign = next((1 if lit.positive else -1 for lit in c.literals if lit.var == x), 0)
+                    vec.append(sign)
+                if any(vec):
+                    groups.setdefault(tuple(vec), []).append(x)
+            selection = feasible_true_counts(thr.num_vars, cons, groups)
+            if selection is not None:
+                bits = [0] * thr.num_vars
+                for vec, members in groups.items():
+                    for x in members[: selection[vec]]:
+                        bits[x - 1] = 1
+                return size, Assignment(tuple(bits))
+    raise AssertionError("the empty subset is always feasible")
+
+
 def satisfying_assignments(c: Constraint, variables: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All assignments of the given variables that satisfy the constraint."""
     from maxcsp import eval_constraint

@@ -354,3 +354,35 @@ def test_compare_solves_each_formula_once_and_matches_solve(tmp_path, capsys, mo
         code, text = run_cli(capsys, "solve", "--alg", "oracle", path, "--json")
         assert row["oracle_opt"] == str(json.loads(text)["value"])
         assert row["status"] == "ok"
+
+
+def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "cafe.mcsp"
+    path.write_bytes(FOREST.encode() + b"c caf\xc3\xa9\n")
+    commands = (
+        ["solve", str(path), "--alg", "oracle"],
+        ["analyze", str(path)],
+        ["generate", "thr2maj", "-o", str(tmp_path / "out.mcsp"), "--input", str(path)],
+    )
+    for argv in commands:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not ASCII, byte 0xc3 (line 5)\n"
+    assert not (tmp_path / "out.mcsp").exists()
+
+
+def test_fvs_exact_small_on_six_variables_and_24_constraints(tmp_path, capsys):
+    # The exact residual once tested constraint subsets down to the optimum
+    # (17 of 24) here, about 23 s; its 2^6 assignments are enumerated now.
+    from maxcsp import random_formula
+
+    f = random_formula(6, 24, {Kind.THRESHOLD: 1}, (2, 4), 5)
+    path = write(tmp_path, "six.mcsp", serialize_instance(f))
+    code, out = run_cli(
+        capsys, "solve", path, "--alg", "fvs-as", "--epsilon", "1/4", "--with-oracle"
+    )
+    assert code == 0
+    fields = dict(item.split("=") for item in out.split())
+    assert fields["route"] == "exact-small"
+    assert fields["value"] == fields["oracle"] == "17"

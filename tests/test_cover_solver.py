@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from maxcsp import (
+    Constraint,
     Formula,
+    Kind,
+    Literal,
     PreconditionError,
     VertexSplit,
     all_constraints_cover,
@@ -14,12 +18,14 @@ from maxcsp import (
     max_csp_bruteforce,
     or_clause,
     residual_exact_max,
+    simplify_fix_variable,
     solve_via_vertex_cover,
     type_vector,
 )
+from maxcsp import cover_solver
 from maxcsp.cover_solver import feasible_true_counts
 
-from helpers import random_cover_instance
+from helpers import random_cover_instance, subset_search_residual_max
 
 
 def test_type_vector_examples():
@@ -120,3 +126,120 @@ def test_cover_solver_handles_parity_free_kinds_only():
     f = Formula(2, (parity(0, 1, 2),))
     with pytest.raises(PreconditionError):
         solve_via_vertex_cover(f, all_constraints_cover(f))
+
+
+def _random_constraint(rng: random.Random, n: int, max_arity: int) -> Constraint:
+    arity = rng.randint(0, min(max_arity, n))
+    lits = tuple(Literal(v, bool(rng.getrandbits(1))) for v in rng.sample(range(1, n + 1), arity))
+    kind = rng.choice((Kind.OR, Kind.AND, Kind.THRESHOLD, Kind.MAJORITY))
+    if kind is Kind.THRESHOLD:
+        return Constraint(kind, lits, threshold=rng.randint(0, arity + 1))
+    return Constraint(kind, lits)
+
+
+def _routing_formulas():
+    """Seeded residuals for the routing differential test, by family."""
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n, m = rng.randint(1, 7), rng.randint(1, 10)
+        yield "random", Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
+    for n in range(3):
+        yield "empty", Formula(n, ())
+    for _ in range(40):
+        # only arity-0 constraints: r = 0, every constraint is constant
+        n, m = rng.randint(0, 3), rng.randint(1, 8)
+        yield "arity-0", Formula(n, tuple(_random_constraint(rng, 0, 0) for _ in range(m)))
+    for _ in range(100):
+        # residuals of fixed variables carry THRESHOLD 0 and above the arity
+        n, m = rng.randint(2, 7), rng.randint(2, 10)
+        f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
+        for x in rng.sample(range(1, n + 1), rng.randint(1, 2)):
+            f, _ = simplify_fix_variable(f, x, rng.getrandbits(1))
+        yield "fixed", f
+    for _ in range(60):
+        # x and not-x for several variables: many maximisers, each satisfying
+        # a different set of the unit constraints
+        n = rng.randint(2, 5)
+        units = [Constraint(Kind.OR, (Literal(x, sign),)) for x in range(1, n + 1) for sign in (True, False)]
+        extra = [_random_constraint(rng, n, 3) for _ in range(rng.randint(0, 3))]
+        cons = units + extra
+        rng.shuffle(cons)
+        yield "ties", Formula(n, tuple(cons))
+    for _ in range(60):
+        # AND terms over few variables conflict, so the optimum lies levels
+        # below m and the switch comes after more than two subset levels
+        n, m = rng.randint(4, 6), rng.randint(6, 9)
+        cons = []
+        for _ in range(m):
+            variables = rng.sample(range(1, n + 1), rng.randint(2, n))
+            cons.append(Constraint(Kind.AND, tuple(Literal(v, bool(rng.getrandbits(1))) for v in variables)))
+        yield "gapped", Formula(n, tuple(cons))
+    for _ in range(20):
+        # r > 16 occurring variables: the enumeration is never used
+        n = rng.randint(17, 19)
+        order = rng.sample(range(1, n + 1), n)
+        cons = []
+        for part in (order[: n // 3], order[n // 3 : 2 * n // 3], order[2 * n // 3 :]):
+            lits = tuple(Literal(v, bool(rng.getrandbits(1))) for v in part)
+            cons.append(Constraint(Kind.THRESHOLD, lits, threshold=rng.randint(0, len(lits) + 1)))
+        cons += [_random_constraint(rng, n, 4) for _ in range(rng.randint(0, 3))]
+        yield "wide", Formula(n, tuple(cons))
+
+
+def _switch_level(f: Formula) -> int | None:
+    """First level whose subsets outnumber the assignments of the occurring
+    variables, when those fit one oracle chunk."""
+    r = len({lit.var for c in f.constraints for lit in c.literals})
+    m = f.num_constraints
+    if r > 16:
+        return None
+    return next((s for s in range(m, -1, -1) if math.comb(m, s) > 1 << r), None)
+
+
+def test_routed_residual_equals_subset_search(monkeypatch):
+    calls = []
+    enumerate_sets = cover_solver._first_max_satisfied_set
+
+    def spy(constraints, variables):
+        calls.append(len(constraints))
+        return enumerate_sets(constraints, variables)
+
+    monkeypatch.setattr(cover_solver, "_first_max_satisfied_set", spy)
+    seen = {}
+    total = 0
+    for family, f in _routing_formulas():
+        total += 1
+        calls.clear()
+        res = residual_exact_max(f)
+        value, witness = subset_search_residual_max(f)
+        assert (res.value, res.witness) == (value, witness), (family, f)
+        level = _switch_level(f)
+        switched = level is not None and value <= level
+        assert len(calls) == int(switched)
+        m = f.num_constraints
+        where = "never" if not switched else f"m-{m - level}" if m - level <= 2 else "deeper"
+        seen[family, where] = seen.get((family, where), 0) + 1
+    assert total >= 500
+    # the first level that can switch is m - 1: level m is one subset, and
+    # one subset never outnumbers the 2^r >= 1 assignments
+    for where in ("m-1", "m-2", "never"):
+        assert seen.get(("random", where), 0) >= 10, seen
+    assert seen.get(("gapped", "deeper"), 0) >= 10, seen
+    for family in ("arity-0", "fixed", "ties"):
+        assert sum(n for (fam, w), n in seen.items() if fam == family and w != "never") >= 10, seen
+    assert seen.get(("wide", "never")) == 20
+    assert seen.get(("empty", "never")) == 3
+
+
+def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
+    # With the chunk limit below r, every level is a subset search.
+    monkeypatch.setattr(cover_solver, "_CHUNK_BITS", 1)
+    monkeypatch.setattr(cover_solver, "_first_max_satisfied_set", None)
+    rng = random.Random(77)
+    for _ in range(40):
+        n, m = rng.randint(2, 6), rng.randint(3, 8)
+        f = Formula(n, tuple(_random_constraint(rng, n, 3) for _ in range(m)))
+        if len({lit.var for c in f.constraints for lit in c.literals}) < 2:
+            continue
+        res = residual_exact_max(f)
+        assert (res.value, res.witness) == subset_search_residual_max(f)
