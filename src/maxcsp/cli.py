@@ -46,17 +46,21 @@ EPSILON_ALGS = {"fvs-as", "cw-as"}
 
 
 def _read_text(path: str) -> str:
+    """The ASCII text of ``path`` (``-`` is standard input); a non-ASCII byte
+    raises ``ParseError`` naming it and its line.  Line ends are left as read:
+    the parsers split lines with ``str.splitlines``."""
     if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
+        # the bytes under the locale's text layer, so every locale decodes alike
+        stream = getattr(sys.stdin, "buffer", None)
+        data = stream.read() if stream is not None else sys.stdin.read().encode()
+    else:
         with open(path, "rb") as fh:
             data = fh.read()
-        pos = next(i for i, byte in enumerate(data) if byte > 0x7F)
-        line = data.count(b"\n", 0, pos) + 1
-        raise ParseError(line, f"not ASCII, byte 0x{data[pos]:02x}", path) from None
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"not ASCII, byte 0x{data[exc.start]:02x}", path) from None
 
 
 def _write_text(path: str, text: str) -> None:

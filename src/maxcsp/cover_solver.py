@@ -16,18 +16,26 @@ from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ContractViolationError, PreconditionError
-from .graphs import VertexSplit, build_incidence_graph
+from .graphs import VertexSplit, check_split_range
 from .model import (
     Assignment,
     Constraint,
     Formula,
     as_threshold_formula,
     count_satisfied,
-    eval_constraint,
     simplify_fix_variable,
 )
-from .oracle import _CHUNK_BITS, OracleResult, _first_max_satisfied_set
+from .oracle import (
+    _CHUNK_BITS,
+    OracleResult,
+    _first_max_satisfied_set,
+    _low_bits,
+    _mask,
+    _mask_spec,
+)
 
 CoverSplit = VertexSplit
 
@@ -193,56 +201,93 @@ def residual_exact_max(f: Formula) -> OracleResult:
 
 
 def verify_cover(f: Formula, cover: VertexSplit) -> None:
-    for x in cover.variables:
-        if not 1 <= x <= f.num_vars:
-            raise PreconditionError(f"variable {x} is not in the formula")
-    for j in cover.constraints:
-        if not 0 <= j < f.num_constraints:
-            raise PreconditionError(f"constraint index {j} is not in the formula")
-    inc = build_incidence_graph(f)
-    vs = inc.vertices_of(cover)
-    for u, v in inc.graph.edge_list():
-        if u not in vs and v not in vs:
-            var = inc.variable_at(u) if inc.is_variable_vertex(u) else inc.variable_at(v)
-            con = inc.constraint_at(v) if not inc.is_variable_vertex(v) else inc.constraint_at(u)
-            raise PreconditionError(
-                f"not a vertex cover: occurrence of variable {var} in constraint {con} uncovered"
-            )
+    check_split_range(f, cover)
+    # the first uncovered occurrence in edge order: smallest variable, then
+    # smallest constraint
+    uncovered = min(
+        (
+            (lit.var, j)
+            for j, c in enumerate(f.constraints)
+            if j not in cover.constraints
+            for lit in c.literals
+            if lit.var not in cover.variables
+        ),
+        default=None,
+    )
+    if uncovered is not None:
+        var, con = uncovered
+        raise PreconditionError(
+            f"not a vertex cover: occurrence of variable {var} in constraint {con} uncovered"
+        )
+
+
+def _outside_counts(constraints: Sequence[Constraint], cover_vars: Sequence[int]) -> list[int]:
+    """Satisfied count of ``constraints`` under each assignment of ``cover_vars``,
+    which hold all their variables, indexed by position in
+    ``product((0, 1), repeat=len(cover_vars))``: the first cover variable is
+    the most significant index bit."""
+    k = len(cover_vars)
+    chunk_bits = min(k, _CHUNK_BITS)
+    low = _low_bits(chunk_bits)
+    bit_of = {x: k - 1 - p for p, x in enumerate(cover_vars)}
+    chunk = 1 << chunk_bits
+    acc = np.empty(chunk, dtype=np.uint8)
+    counts = np.zeros(1 << k, dtype=np.int32)
+    for c in constraints:
+        spec = _mask_spec(c, bit_of, chunk_bits, low)
+        if spec is True:
+            counts += 1
+        elif spec is not False:
+            for high in range(1 << (k - chunk_bits)):
+                counts[high * chunk : (high + 1) * chunk] += _mask(spec, high, acc)
+    return counts.tolist()
 
 
 def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
-    """Exact optimum given a verified vertex cover of the incidence graph."""
+    """Exact optimum given a verified vertex cover of the incidence graph.
+
+    The constraints outside the cover are counted for all 2^k assignments of
+    the k cover variables in one pass of the oracle's mask step.  The
+    residual of the covered constraints depends only on the cover variables
+    that occur in it, so it is solved once per assignment of those.  The
+    first assignment in ``product`` order with the largest total wins.
+    """
     try:
         thr = as_threshold_formula(f)
     except ContractViolationError as exc:
         raise PreconditionError(str(exc)) from exc
     verify_cover(thr, cover)
     cover_vars = sorted(cover.variables)
-    covered = sorted(cover.constraints)
-    outside = [j for j in range(thr.num_constraints) if j not in cover.constraints]
-    for j in outside:
-        if not set(thr.constraints[j].variables) <= set(cover_vars):
+    covered = tuple(thr.constraints[j] for j in sorted(cover.constraints))
+    outside = [c for j, c in enumerate(thr.constraints) if j not in cover.constraints]
+    for c in outside:
+        if not cover.variables.issuperset(c.variables):
             raise AssertionError("uncovered constraint with a variable outside the cover")
+    fixed_counts = _outside_counts(outside, cover_vars)
+    # positions in sigma of the cover variables the residual depends on
+    in_covered = {lit.var for c in covered for lit in c.literals}
+    keyed = [p for p, x in enumerate(cover_vars) if x in in_covered]
 
+    residuals: dict[tuple[int, ...], tuple[int, OracleResult]] = {}
     best_value = -1
     best_witness: Assignment | None = None
-    for sigma in product((0, 1), repeat=len(cover_vars)):
-        probe = Assignment.zeros(thr.num_vars)
-        for x, v in zip(cover_vars, sigma):
-            probe = probe.replace(x, v)
-        fixed_count = sum(1 for j in outside if eval_constraint(thr.constraints[j], probe))
-
-        residual = Formula(thr.num_vars, tuple(thr.constraints[j] for j in covered))
-        delta = 0
-        for x, v in zip(cover_vars, sigma):
-            residual, d = simplify_fix_variable(residual, x, v)
-            delta += d
-        sub = residual_exact_max(residual)
+    for fixed_count, sigma in zip(fixed_counts, product((0, 1), repeat=len(cover_vars))):
+        key = tuple(sigma[p] for p in keyed)
+        solved = residuals.get(key)
+        if solved is None:
+            residual = Formula(thr.num_vars, covered)
+            delta = 0
+            for p, v in zip(keyed, key):
+                residual, d = simplify_fix_variable(residual, cover_vars[p], v)
+                delta += d
+            solved = residuals[key] = (delta, residual_exact_max(residual))
+        delta, sub = solved
 
         total = fixed_count + delta + sub.value
-        witness = sub.witness
+        bits = list(sub.witness.bits)
         for x, v in zip(cover_vars, sigma):
-            witness = witness.replace(x, v)
+            bits[x - 1] = v
+        witness = Assignment(tuple(bits))
         if count_satisfied(thr, witness) != total:
             raise AssertionError("cover solver bookkeeping mismatch")
         if total > best_value:

@@ -18,7 +18,7 @@ from itertools import product
 from .cover_solver import all_constraints_cover, solve_via_vertex_cover
 from .errors import ContractViolationError, PreconditionError
 from .forest_solver import solve_forest
-from .graphs import VertexSplit, build_incidence_graph, is_acyclic
+from .graphs import VertexSplit, build_incidence_graph, check_split_range, is_acyclic
 from .model import Assignment, Formula, Kind, as_threshold_formula, count_satisfied, simplify_fix_variable
 from .report import SolveReport, make_report, parse_fraction
 
@@ -40,19 +40,10 @@ class FvsPlan:
 
 
 def verify_feedback_vertex_set(f: Formula, fvs: VertexSplit) -> None:
-    _check_split_range(f, fvs)
+    check_split_range(f, fvs)
     inc = build_incidence_graph(f)
     if not is_acyclic(inc.graph, inc.vertices_of(fvs)):
         raise PreconditionError("deleting the given vertices does not leave a forest")
-
-
-def _check_split_range(f: Formula, split: VertexSplit) -> None:
-    for x in split.variables:
-        if not 1 <= x <= f.num_vars:
-            raise PreconditionError(f"variable {x} is not in the formula")
-    for j in split.constraints:
-        if not 0 <= j < f.num_constraints:
-            raise PreconditionError(f"constraint index {j} is not in the formula")
 
 
 def plan_route(f: Formula, fvs: VertexSplit, epsilon) -> FvsPlan:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import MalformedInstanceError
+from .errors import MalformedInstanceError, PreconditionError
 from .model import Formula
 
 
@@ -196,6 +196,16 @@ class VertexSplit:
     @property
     def size(self) -> int:
         return len(self.variables) + len(self.constraints)
+
+
+def check_split_range(f: Formula, split: VertexSplit) -> None:
+    """Raise ``PreconditionError`` unless every vertex of ``split`` is in ``f``."""
+    for x in split.variables:
+        if not 1 <= x <= f.num_vars:
+            raise PreconditionError(f"variable {x} is not in the formula")
+    for j in split.constraints:
+        if not 0 <= j < f.num_constraints:
+            raise PreconditionError(f"constraint index {j} is not in the formula")
 
 
 @dataclass(frozen=True)

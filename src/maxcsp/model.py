@@ -93,9 +93,14 @@ class Constraint:
         return tuple(lit.var for lit in self.literals)
 
     def effective_threshold(self) -> int:
-        """Number of true literals required (defined for THRESHOLD/MAJORITY)."""
+        """Number of true literals required: every kind except PARITY is
+        "at least t literals true"."""
         if self.kind is Kind.THRESHOLD:
             return self.threshold  # type: ignore[return-value]
+        if self.kind is Kind.OR:
+            return 1
+        if self.kind is Kind.AND:
+            return self.arity
         if self.kind is Kind.MAJORITY:
             return (self.arity + 1) // 2
         raise ContractViolationError(f"{self.kind.value} constraint has no threshold")
@@ -181,10 +186,6 @@ class Assignment:
             raise MalformedInstanceError(f"variable {var} is not defined by this assignment")
         return self.bits[var - 1]
 
-    def literal_true(self, lit: Literal) -> bool:
-        v = self.value(lit.var)
-        return bool(v) if lit.positive else not v
-
     def replace(self, var: int, value: int) -> "Assignment":
         bits = list(self.bits)
         bits[var - 1] = value
@@ -196,21 +197,25 @@ class Assignment:
 
 def eval_constraint(c: Constraint, a: Assignment) -> bool:
     """Decide whether assignment ``a`` satisfies constraint ``c``."""
-    true_count = 0
     for lit in c.literals:
-        if a.literal_true(lit):
+        if lit.var > len(a.bits):
+            raise MalformedInstanceError(f"variable {lit.var} is not defined by this assignment")
+    return _holds(c, a.bits)
+
+
+def _holds(c: Constraint, bits: tuple[int, ...]) -> bool:
+    # PARITY tests the parity of the true literals; every other kind is
+    # "at least t literals true".  ``bits`` must define every variable of c.
+    true_count = 0
+    for var, positive in c.literals:
+        if bits[var - 1] == positive:
             true_count += 1
-    if c.kind is Kind.OR:
-        return true_count >= 1
-    if c.kind is Kind.AND:
-        return true_count == c.arity
-    if c.kind is Kind.PARITY:
-        return (true_count & 1) == c.parity_rhs
-    if c.kind is Kind.THRESHOLD:
+    kind = c.kind
+    if kind is Kind.THRESHOLD:
         return true_count >= c.threshold  # type: ignore[operator]
-    if c.kind is Kind.MAJORITY:
-        return true_count >= (c.arity + 1) // 2
-    raise ContractViolationError(f"unknown constraint kind {c.kind!r}")
+    if kind is Kind.PARITY:
+        return (true_count & 1) == c.parity_rhs
+    return true_count >= c.effective_threshold()
 
 
 def count_satisfied(f: Formula, a: Assignment) -> int:
@@ -219,7 +224,8 @@ def count_satisfied(f: Formula, a: Assignment) -> int:
         raise MalformedInstanceError(
             f"assignment covers {len(a)} variables, formula has {f.num_vars}"
         )
-    return sum(1 for c in f.constraints if eval_constraint(c, a))
+    bits = a.bits
+    return sum(1 for c in f.constraints if _holds(c, bits))
 
 
 def normalize_parity(c: Constraint) -> Constraint:
@@ -244,15 +250,9 @@ def as_threshold(c: Constraint) -> Constraint:
     """Express an OR/AND/MAJORITY/THRESHOLD constraint as an explicit THRESHOLD."""
     if c.kind is Kind.THRESHOLD:
         return c
-    if c.kind is Kind.OR:
-        t = 1
-    elif c.kind is Kind.AND:
-        t = c.arity
-    elif c.kind is Kind.MAJORITY:
-        t = (c.arity + 1) // 2
-    else:
+    if c.kind is Kind.PARITY:
         raise ContractViolationError(f"{c.kind.value} constraint has no threshold form")
-    return Constraint(Kind.THRESHOLD, c.literals, threshold=t)
+    return Constraint(Kind.THRESHOLD, c.literals, threshold=c.effective_threshold())
 
 
 def as_threshold_formula(f: Formula) -> Formula:

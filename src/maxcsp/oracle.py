@@ -16,7 +16,6 @@ from .model import (
     Formula,
     Kind,
     Literal,
-    as_threshold,
     count_satisfied,
     normalize_parity,
 )
@@ -122,7 +121,7 @@ def _mask_spec(
             highs.append((b - chunk_bits, lit.positive))
     if c.kind is Kind.PARITY:
         return lows, highs, True, c.parity_rhs
-    t = as_threshold(c).threshold
+    t = c.effective_threshold()
     if t <= 0 or t > c.arity:
         return t <= 0
     return lows, highs, False, t

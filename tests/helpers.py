@@ -61,6 +61,42 @@ def subset_search_residual_max(f: Formula) -> tuple[int, Assignment]:
     raise AssertionError("the empty subset is always feasible")
 
 
+def sigma_loop_vertex_cover(f: Formula, cover: VertexSplit) -> tuple[int, Assignment]:
+    """The vertex-cover solver as one plain loop over the cover assignments.
+
+    For each sigma in ``product`` order: set the cover variables one by one,
+    evaluate the outside constraints constraint by constraint, fix every
+    cover variable in the residual of the covered constraints and solve it.
+    The first sigma with a strictly larger total wins.  ``cover`` must be a
+    valid vertex cover of a PARITY-free formula.
+    """
+    from maxcsp import as_threshold_formula, eval_constraint, residual_exact_max, simplify_fix_variable
+
+    thr = as_threshold_formula(f)
+    cover_vars = sorted(cover.variables)
+    covered = sorted(cover.constraints)
+    outside = [j for j in range(thr.num_constraints) if j not in cover.constraints]
+    best_value, best_witness = -1, None
+    for sigma in itertools.product((0, 1), repeat=len(cover_vars)):
+        probe = Assignment.zeros(thr.num_vars)
+        for x, v in zip(cover_vars, sigma):
+            probe = probe.replace(x, v)
+        fixed_count = sum(1 for j in outside if eval_constraint(thr.constraints[j], probe))
+        residual = Formula(thr.num_vars, tuple(thr.constraints[j] for j in covered))
+        delta = 0
+        for x, v in zip(cover_vars, sigma):
+            residual, d = simplify_fix_variable(residual, x, v)
+            delta += d
+        sub = residual_exact_max(residual)
+        total = fixed_count + delta + sub.value
+        witness = sub.witness
+        for x, v in zip(cover_vars, sigma):
+            witness = witness.replace(x, v)
+        if total > best_value:
+            best_value, best_witness = total, witness
+    return best_value, best_witness
+
+
 def satisfying_assignments(c: Constraint, variables: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All assignments of the given variables that satisfy the constraint."""
     from maxcsp import eval_constraint

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from maxcsp import Formula, Kind, at_least, or_clause, parity, parse_instance, serialize_instance
 from maxcsp.cli import main
@@ -370,6 +373,22 @@ def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == f"error: {path}: not ASCII, byte 0xc3 (line 5)\n"
     assert not (tmp_path / "out.mcsp").exists()
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_non_ascii_stdin_is_a_parse_error_in_every_locale(encoding):
+    # Standard input is decoded as ASCII like a named file, whatever the
+    # locale's encoding of the text layer.
+    env = {**os.environ, "PYTHONIOENCODING": encoding}
+    for argv in (["solve", "-", "--alg", "oracle"], ["analyze", "-"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxcsp", *argv],
+            input=FOREST.encode() + b"c caf\xc3\xa9\n",
+            capture_output=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: -: not ASCII, byte 0xc3 (line 5)\n"
 
 
 def test_fvs_exact_small_on_six_variables_and_24_constraints(tmp_path, capsys):

@@ -10,6 +10,7 @@ from maxcsp import (
     Kind,
     Literal,
     PreconditionError,
+    parity,
     VertexSplit,
     all_constraints_cover,
     and_term,
@@ -25,7 +26,7 @@ from maxcsp import (
 from maxcsp import cover_solver
 from maxcsp.cover_solver import feasible_true_counts
 
-from helpers import random_cover_instance, subset_search_residual_max
+from helpers import random_cover_instance, sigma_loop_vertex_cover, subset_search_residual_max
 
 
 def test_type_vector_examples():
@@ -243,3 +244,129 @@ def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
             continue
         res = residual_exact_max(f)
         assert (res.value, res.witness) == subset_search_residual_max(f)
+
+
+def _random_vertex_cover(rng: random.Random, f: Formula) -> VertexSplit:
+    """A random subset of the variables, then every constraint that still has
+    a variable outside it, then a few more constraints."""
+    chosen = frozenset(x for x in range(1, f.num_vars + 1) if rng.random() < 0.5)
+    cons = {
+        j
+        for j, c in enumerate(f.constraints)
+        if not chosen.issuperset(c.variables) or rng.random() < 0.2
+    }
+    return VertexSplit(chosen, frozenset(cons))
+
+
+def _cover_formulas():
+    """Seeded (formula, cover) pairs for the cover-solver differential test, by family."""
+    rng = random.Random(5052)
+    for _ in range(160):
+        n, m = rng.randint(1, 8), rng.randint(0, 10)
+        f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
+        yield "all-variables", f, VertexSplit(frozenset(range(1, n + 1)), frozenset())
+    for _ in range(100):
+        n, m = rng.randint(0, 7), rng.randint(0, 8)
+        f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
+        yield "all-constraints", f, all_constraints_cover(f)
+    for _ in range(160):
+        n, m = rng.randint(1, 9), rng.randint(1, 10)
+        f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
+        yield "mixed", f, _random_vertex_cover(rng, f)
+    for _ in range(40):
+        f, cover = random_cover_instance(rng, max_vars=9, cover_vars=rng.randint(1, 4), extra_cons=6)
+        yield "designed", f, cover
+    for _ in range(40):
+        # arity-0 constraints are constant: they count for every sigma or none
+        n = rng.randint(1, 6)
+        cons = [_random_constraint(rng, 0, 0) for _ in range(rng.randint(1, 4))]
+        cons += [_random_constraint(rng, n, 3) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(cons)
+        f = Formula(n, tuple(cons))
+        cover = rng.choice((VertexSplit(frozenset(range(1, n + 1)), frozenset()), _random_vertex_cover(rng, f)))
+        yield "arity-0", f, cover
+    for _ in range(60):
+        # x and not-x for several variables: many sigma share the best total
+        n = rng.randint(2, 6)
+        units = [Constraint(Kind.OR, (Literal(x, sign),)) for x in range(1, n + 1) for sign in (True, False)]
+        cons = units + [_random_constraint(rng, n, 3) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(cons)
+        f = Formula(n, tuple(cons))
+        cover = rng.choice((VertexSplit(frozenset(range(1, n + 1)), frozenset()), _random_vertex_cover(rng, f)))
+        yield "ties", f, cover
+
+
+def test_cover_solver_equals_sigma_loop(monkeypatch):
+    calls = {"residual": 0, "check": 0}
+    residual, check = cover_solver.residual_exact_max, cover_solver.count_satisfied
+
+    def residual_spy(f):
+        calls["residual"] += 1
+        return residual(f)
+
+    def check_spy(f, a):
+        calls["check"] += 1
+        return check(f, a)
+
+    monkeypatch.setattr(cover_solver, "residual_exact_max", residual_spy)
+    monkeypatch.setattr(cover_solver, "count_satisfied", check_spy)
+    seen: dict[str, int] = {}
+    for family, f, cover in _cover_formulas():
+        calls.update(residual=0, check=0)
+        res = solve_via_vertex_cover(f, cover)
+        assert (res.value, res.witness) == sigma_loop_vertex_cover(f, cover), (family, f, cover)
+        # one bookkeeping check per sigma, one residual solve per assignment
+        # of the cover variables that occur in covered constraints
+        keyed = {x for j in cover.constraints for x in f.constraints[j].variables} & cover.variables
+        assert calls == {"residual": 1 << len(keyed), "check": 1 << len(cover.variables)}
+        seen[family] = seen.get(family, 0) + 1
+    assert sum(seen.values()) >= 500
+    assert len(seen) == 6, seen
+
+
+def test_cover_solver_outside_counts_over_several_chunks(monkeypatch):
+    # With a 2-bit chunk the outside counts come from several kernel chunks.
+    monkeypatch.setattr(cover_solver, "_CHUNK_BITS", 2)
+    rng = random.Random(606)
+    for _ in range(60):
+        n, m = rng.randint(3, 7), rng.randint(1, 9)
+        f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
+        cover = rng.choice((VertexSplit(frozenset(range(1, n + 1)), frozenset()), _random_vertex_cover(rng, f)))
+        res = solve_via_vertex_cover(f, cover)
+        assert (res.value, res.witness) == sigma_loop_vertex_cover(f, cover)
+
+
+def test_cover_solver_with_sixteen_cover_variables():
+    # With every variable in the cover and no covered constraint the solver's
+    # first best sigma in product order is the oracle's lexicographically
+    # first maximiser.
+    rng = random.Random(1616)
+    n = 16
+    f = Formula(n, tuple(_random_constraint(rng, n, 5) for _ in range(12)))
+    res = solve_via_vertex_cover(f, VertexSplit(frozenset(range(1, n + 1)), frozenset()))
+    best = max_csp_bruteforce(f)
+    assert (res.value, res.witness) == (best.value, best.witness)
+
+
+def test_cover_solver_rejects_parity_in_any_cover():
+    f = Formula(3, (or_clause(1, 2), parity(1, 2, 3), at_least(2, 1, 3)))
+    for cover in (
+        all_constraints_cover(f),
+        VertexSplit(frozenset({1, 2, 3}), frozenset()),
+        VertexSplit(frozenset({2}), frozenset({1, 2})),
+    ):
+        with pytest.raises(PreconditionError, match="PARITY constraint has no threshold form"):
+            solve_via_vertex_cover(f, cover)
+
+
+def test_verify_cover_reports_first_uncovered_occurrence():
+    # Occurrences (variable, constraint) left uncovered: (3, 1), (2, 2), (3, 2);
+    # the first in incidence edge order is the smallest variable's.
+    f = Formula(3, (or_clause(1), or_clause(1, 3), at_least(1, 2, -3)))
+    with pytest.raises(PreconditionError) as exc:
+        solve_via_vertex_cover(f, VertexSplit(frozenset({1}), frozenset()))
+    assert str(exc.value) == "not a vertex cover: occurrence of variable 2 in constraint 2 uncovered"
+    with pytest.raises(PreconditionError, match="^variable 4 is not in the formula$"):
+        solve_via_vertex_cover(f, VertexSplit(frozenset({4}), frozenset({0, 1, 2})))
+    with pytest.raises(PreconditionError, match="^constraint index 3 is not in the formula$"):
+        solve_via_vertex_cover(f, VertexSplit(frozenset(), frozenset({0, 1, 2, 3})))

@@ -216,3 +216,55 @@ def test_simplify_count_identity_randomized():
                 continue
             a = Assignment(bits)
             assert count_satisfied(f, a) == delta + count_satisfied(res, a)
+
+
+def _naive_holds(c: Constraint, bits: tuple[int, ...]) -> bool:
+    """Each kind's definition, read literal by literal."""
+    values = [bits[lit.var - 1] == (1 if lit.positive else 0) for lit in c.literals]
+    if c.kind is Kind.OR:
+        return any(values)
+    if c.kind is Kind.AND:
+        return all(values)
+    if c.kind is Kind.PARITY:
+        return sum(values) % 2 == c.parity_rhs
+    if c.kind is Kind.MAJORITY:
+        return 2 * sum(values) >= len(values)
+    return sum(values) >= c.threshold
+
+
+def _every_constraint(variables: tuple[int, ...], signs: tuple[bool, ...]):
+    lits = tuple(Literal(v, s) for v, s in zip(variables, signs))
+    yield Constraint(Kind.OR, lits)
+    yield Constraint(Kind.AND, lits)
+    yield Constraint(Kind.MAJORITY, lits)
+    for rhs in (0, 1):
+        yield Constraint(Kind.PARITY, lits, parity_rhs=rhs)
+    for t in range(len(lits) + 2):
+        yield Constraint(Kind.THRESHOLD, lits, threshold=t)
+
+
+def test_evaluator_equals_each_kinds_definition():
+    import random
+
+    rng = random.Random(31)
+    n = 6
+    for arity in range(6):
+        constraints = []
+        for _ in range(4):
+            variables = tuple(rng.sample(range(1, n + 1), arity))
+            signs = tuple(bool(rng.getrandbits(1)) for _ in range(arity))
+            constraints.extend(_every_constraint(variables, signs))
+        f = Formula(n, tuple(constraints))
+        for bits in itertools.product((0, 1), repeat=n):
+            a = Assignment(bits)
+            expected = [_naive_holds(c, bits) for c in constraints]
+            assert [eval_constraint(c, a) for c in constraints] == expected
+            assert count_satisfied(f, a) == sum(expected)
+
+
+def test_eval_rejects_too_short_assignment_for_every_kind():
+    for c in _every_constraint((1, 3), (True, False)):
+        with pytest.raises(MalformedInstanceError, match="variable 3 is not defined"):
+            eval_constraint(c, Assignment((1, 0)))
+    with pytest.raises(MalformedInstanceError):
+        count_satisfied(Formula(3, (or_clause(1),)), Assignment((1, 0)))
