@@ -261,7 +261,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         mix = {}
         for part in args.kinds.split(","):
             name, _, weight = part.partition("=")
-            mix[name.strip()] = float(weight) if weight else 1.0
+            try:
+                mix[name.strip()] = float(weight) if weight else 1.0
+            except ValueError:
+                raise MalformedInstanceError(f"kind weight is not a number: {weight!r}") from None
         formula = oracle.random_formula(
             args.num_vars,
             args.num_constraints,
@@ -440,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, MalformedInstanceError, ContractViolationError) as exc:
+    except (ParseError, MalformedInstanceError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

@@ -42,8 +42,7 @@ class ClausePartition:
 
     ``cutoff`` is the smallest d >= 1 whose window [d, window_ratio * d]
     contains at most an epsilon_prime fraction of all clauses; short means
-    size < d, long means size > window_top.  ``histogram`` maps clause size
-    to its fraction of the formula.
+    size < d, long means size > window_top.
     """
 
     formula: Formula
@@ -55,7 +54,6 @@ class ClausePartition:
     short: tuple[int, ...]
     medium: tuple[int, ...]
     long: tuple[int, ...]
-    histogram: dict[int, Fraction]
 
     @property
     def num_clauses(self) -> int:
@@ -111,10 +109,6 @@ def clause_partition(
     short = tuple(j for j, s in enumerate(sizes) if s < cutoff)
     medium = tuple(j for j, s in enumerate(sizes) if cutoff <= s and Fraction(s) <= top)
     long = tuple(j for j, s in enumerate(sizes) if Fraction(s) > top)
-    histogram: dict[int, Fraction] = {}
-    if m:
-        for s in sizes:
-            histogram[s] = histogram.get(s, Fraction(0)) + Fraction(1, m)
     return ClausePartition(
         formula=f,
         epsilon_prime=eps_prime,
@@ -125,7 +119,6 @@ def clause_partition(
         short=short,
         medium=medium,
         long=long,
-        histogram=histogram,
     )
 
 

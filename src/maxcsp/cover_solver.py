@@ -12,11 +12,9 @@ assignments are enumerated instead (see ``residual_exact_max``).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ContractViolationError, PreconditionError
 from .graphs import VertexSplit, check_split_range
@@ -28,29 +26,7 @@ from .model import (
     count_satisfied,
     simplify_fix_variable,
 )
-from .oracle import (
-    _CHUNK_BITS,
-    OracleResult,
-    _first_max_satisfied_set,
-    _low_bits,
-    _mask,
-    _mask_spec,
-)
-
-CoverSplit = VertexSplit
-
-
-def type_vector(var: int, constraints: Sequence[Constraint]) -> tuple[int, ...]:
-    """Occurrence pattern of ``var``: +1 positive, -1 negative, 0 absent, per constraint."""
-    out = []
-    for c in constraints:
-        entry = 0
-        for lit in c.literals:
-            if lit.var == var:
-                entry = 1 if lit.positive else -1
-                break
-        out.append(entry)
-    return tuple(out)
+from .oracle import OracleResult, _SatisfiedCounts
 
 
 def _occurrence_maps(num_vars: int, constraints: Sequence[Constraint]) -> list[dict[int, int]]:
@@ -166,6 +142,33 @@ def _subset_witness(
     return _selection_to_assignment(thr.num_vars, groups, selection)
 
 
+def _first_max_satisfied_set(
+    constraints: Sequence[Constraint], variables: Sequence[int]
+) -> list[int]:
+    """Satisfied set of a maximiser over the 2^r assignments of ``variables``,
+    the first in ``itertools.combinations`` order among the maximisers' sets.
+
+    ``variables`` must hold every variable of ``constraints``, and their
+    assignments must fit one oracle chunk.  Among sets of one size, the first
+    in that order is the one whose membership vector, constraint 0 first, is
+    largest; so the maximisers are narrowed, constraint by constraint, to
+    those that satisfy it whenever any does.  Which assignment index holds
+    which assignment does not matter to that narrowing.
+    """
+    kernel = _SatisfiedCounts(constraints, variables)
+    if kernel.num_chunks != 1:
+        raise AssertionError(f"{len(variables)} variables span {kernel.num_chunks} oracle chunks")
+    counts = kernel.counts(0)
+    chosen = counts == counts.max()
+    subset = []
+    for j in range(len(constraints)):
+        hit = chosen & kernel.mask(j, 0)
+        if hit.any():
+            chosen = hit
+            subset.append(j)
+    return subset
+
+
 def residual_exact_max(f: Formula) -> OracleResult:
     """Maximum simultaneously satisfiable constraints of a small residual.
 
@@ -187,7 +190,7 @@ def residual_exact_max(f: Formula) -> OracleResult:
     relevant = [x for x in range(1, thr.num_vars + 1) if occ[x]]
     r = len(relevant)
     for size in range(m, -1, -1):
-        if r <= _CHUNK_BITS and comb(m, size) > 1 << r:
+        if _SatisfiedCounts.one_chunk(r) and comb(m, size) > 1 << r:
             subset = _first_max_satisfied_set(thr.constraints, relevant)
             witness = _subset_witness(thr, occ, relevant, subset)
             if witness is None or len(subset) > size:
@@ -221,36 +224,15 @@ def verify_cover(f: Formula, cover: VertexSplit) -> None:
         )
 
 
-def _outside_counts(constraints: Sequence[Constraint], cover_vars: Sequence[int]) -> list[int]:
-    """Satisfied count of ``constraints`` under each assignment of ``cover_vars``,
-    which hold all their variables, indexed by position in
-    ``product((0, 1), repeat=len(cover_vars))``: the first cover variable is
-    the most significant index bit."""
-    k = len(cover_vars)
-    chunk_bits = min(k, _CHUNK_BITS)
-    low = _low_bits(chunk_bits)
-    bit_of = {x: k - 1 - p for p, x in enumerate(cover_vars)}
-    chunk = 1 << chunk_bits
-    acc = np.empty(chunk, dtype=np.uint8)
-    counts = np.zeros(1 << k, dtype=np.int32)
-    for c in constraints:
-        spec = _mask_spec(c, bit_of, chunk_bits, low)
-        if spec is True:
-            counts += 1
-        elif spec is not False:
-            for high in range(1 << (k - chunk_bits)):
-                counts[high * chunk : (high + 1) * chunk] += _mask(spec, high, acc)
-    return counts.tolist()
-
-
 def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     """Exact optimum given a verified vertex cover of the incidence graph.
 
     The constraints outside the cover are counted for all 2^k assignments of
-    the k cover variables in one pass of the oracle's mask step.  The
-    residual of the covered constraints depends only on the cover variables
-    that occur in it, so it is solved once per assignment of those.  The
-    first assignment in ``product`` order with the largest total wins.
+    the k cover variables in one pass of the oracle's satisfied-count
+    kernel, whose index order is ``product`` order.  The residual of the
+    covered constraints depends only on the cover variables that occur in
+    it, so it is solved once per assignment of those.  The first assignment
+    in ``product`` order with the largest total wins.
     """
     try:
         thr = as_threshold_formula(f)
@@ -263,7 +245,10 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     for c in outside:
         if not cover.variables.issuperset(c.variables):
             raise AssertionError("uncovered constraint with a variable outside the cover")
-    fixed_counts = _outside_counts(outside, cover_vars)
+    kernel = _SatisfiedCounts(outside, cover_vars)
+    fixed_counts = chain.from_iterable(
+        kernel.counts(high).tolist() for high in range(kernel.num_chunks)
+    )
     # positions in sigma of the cover variables the residual depends on
     in_covered = {lit.var for c in covered for lit in c.literals}
     keyed = [p for p, x in enumerate(cover_vars) if x in in_covered]

@@ -19,7 +19,6 @@ from .oracle import OracleResult
 
 @dataclass(frozen=True)
 class PeelOutcome:
-    value: int
     witness: Assignment
     steps: int
     removed_satisfied: int
@@ -34,7 +33,7 @@ def solve_forest(f: Formula) -> OracleResult:
     incidence graph is a precondition error.
     """
     out = peel_forest(f)
-    return OracleResult(out.value, out.witness)
+    return OracleResult(out.removed_satisfied, out.witness)
 
 
 def peel_forest(f: Formula) -> PeelOutcome:
@@ -144,7 +143,6 @@ def peel_forest(f: Formula) -> PeelOutcome:
     if any(con_alive):
         raise AssertionError("peel terminated with live constraints")
     return PeelOutcome(
-        value=stats["satisfied"],
         witness=Assignment(tuple(bits[1:])),
         steps=stats["steps"],
         removed_satisfied=stats["satisfied"],

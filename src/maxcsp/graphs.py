@@ -31,9 +31,6 @@ class Graph:
             tuple(sorted(s)) for s in adj
         )
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

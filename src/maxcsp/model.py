@@ -158,10 +158,6 @@ class Formula:
         """Total number of literal occurrences (sum of arities)."""
         return sum(c.arity for c in self.constraints)
 
-    def constraints_containing(self, var: int) -> tuple[int, ...]:
-        """Indices of constraints in which ``var`` occurs (either sign)."""
-        return tuple(j for j, c in enumerate(self.constraints) if var in c.variables)
-
 
 @dataclass(frozen=True, order=True)
 class Assignment:

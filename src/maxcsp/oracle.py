@@ -16,7 +16,6 @@ from .model import (
     Formula,
     Kind,
     Literal,
-    count_satisfied,
     normalize_parity,
 )
 
@@ -41,142 +40,107 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
     """
     n = f.num_vars
     # A constraint's variables are distinct, so its true-literal count is at
-    # most n; the uint8 accumulator below holds it only up to 255.
+    # most n; the kernel's uint8 accumulator holds it only up to 255.
     limit = min(var_limit, _MAX_KERNEL_VARS)
     if n > limit:
         raise ResourceLimitError(
             f"instance has {n} variables, oracle limit is {limit}"
         )
-    if n == 0:
-        empty = Assignment(())
-        return OracleResult(count_satisfied(f, empty), empty)
-
-    # Index bits below chunk_bits repeat in every chunk, so their arrays are
-    # built once; bits above are constant within a chunk and enter each
-    # constraint's count as a scalar.  x1 is the most significant bit.
-    chunk_bits = min(n, _CHUNK_BITS)
-    low = _low_bits(chunk_bits)
-    bit_of = {x: n - x for x in range(1, n + 1)}
-    # Constraints that hold or fail whatever the assignment never reach the
-    # arrays.
-    always = 0
-    specs = []
-    for c in f.constraints:
-        spec = _mask_spec(c, bit_of, chunk_bits, low)
-        if spec is True:
-            always += 1
-        elif spec is not False:
-            specs.append(spec)
-
-    chunk = 1 << chunk_bits
-    acc = np.empty(chunk, dtype=np.uint8)
-    counts = np.empty(chunk, dtype=np.int32)
+    kernel = _SatisfiedCounts(f.constraints, range(1, n + 1))
     best_value = -1
     best_index = 0
-    for high in range(1 << (n - chunk_bits)):
-        counts.fill(0)
-        for spec in specs:
-            counts += _mask(spec, high, acc)
+    for high in range(kernel.num_chunks):
+        counts = kernel.counts(high)
         # argmax is the first maximiser, so ties go to the smaller index
         i = int(np.argmax(counts))
         if counts[i] > best_value:
             best_value = int(counts[i])
-            best_index = (high << chunk_bits) + i
+            best_index = (high << kernel.chunk_bits) + i
     bits = tuple((best_index >> (n - i)) & 1 for i in range(1, n + 1))
-    return OracleResult(best_value + always, Assignment(bits))
+    return OracleResult(best_value, Assignment(bits))
 
 
-def _low_bits(chunk_bits: int) -> dict[tuple[int, bool], np.ndarray]:
-    """Per index bit below ``chunk_bits`` and sign, that literal's 0/1 value
-    at every position of a chunk of 2^chunk_bits assignments."""
-    idx = np.arange(1 << chunk_bits)
-    low: dict[tuple[int, bool], np.ndarray] = {}
-    for b in range(chunk_bits):
-        bits = ((idx >> b) & 1).astype(np.uint8)
-        low[b, True] = bits
-        low[b, False] = bits ^ 1
-    return low
+class _SatisfiedCounts:
+    """Satisfied counts of ``constraints`` over the 2^n assignments of the n
+    ``variables``, which hold every variable of the constraints.
 
-
-def _mask_spec(
-    c: Constraint,
-    bit_of: Mapping[int, int],
-    chunk_bits: int,
-    low: dict[tuple[int, bool], np.ndarray],
-):
-    """How ``_mask`` tests ``c``: True or False for a constraint that holds or
-    fails whatever the assignment, else ``(lows, highs, is_parity, rhs)``.
-
-    ``bit_of`` maps each variable of ``c`` to its index bit.  Literals on bits
-    below ``chunk_bits`` go to ``lows`` as their ``low`` arrays; the others go
-    to ``highs``, their bit counted from ``chunk_bits``.  Every kind except
-    PARITY is "at least t literals true".
+    ``variables[p]`` is index bit n - 1 - p: the first variable is the most
+    significant bit, so ascending index order is ``itertools.product`` order.
+    Indices run in ``num_chunks`` chunks of 2^``chunk_bits``.  Index bits
+    below ``chunk_bits`` repeat in every chunk, so their arrays are built
+    once; bits above are constant within a chunk and enter each constraint's
+    count as a scalar.  True literals are counted in a ``uint8`` scratch
+    array, so n must be at most 255.
     """
-    lows, highs = [], []
-    for lit in c.literals:
-        b = bit_of[lit.var]
-        if b < chunk_bits:
-            lows.append(low[b, lit.positive])
-        else:
-            highs.append((b - chunk_bits, lit.positive))
-    if c.kind is Kind.PARITY:
-        return lows, highs, True, c.parity_rhs
-    t = c.effective_threshold()
-    if t <= 0 or t > c.arity:
-        return t <= 0
-    return lows, highs, False, t
 
+    def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
+        n = len(variables)
+        self.chunk_bits = min(n, _CHUNK_BITS)
+        self.num_chunks = 1 << (n - self.chunk_bits)
+        idx = np.arange(1 << self.chunk_bits)
+        # per index bit below chunk_bits and sign, that literal's 0/1 value at
+        # every position of a chunk
+        low: dict[tuple[int, bool], np.ndarray] = {}
+        for b in range(self.chunk_bits):
+            bits = ((idx >> b) & 1).astype(np.uint8)
+            low[b, True] = bits
+            low[b, False] = bits ^ 1
+        bit_of = {x: n - 1 - p for p, x in enumerate(variables)}
+        self._specs = [self._spec(c, bit_of, low) for c in constraints]
+        # Constraints that hold or fail whatever the assignment never reach
+        # the arrays.
+        self._always = sum(spec is True for spec in self._specs)
+        self._varying = [spec for spec in self._specs if not isinstance(spec, bool)]
+        self._acc = np.empty(1 << self.chunk_bits, dtype=np.uint8)
 
-def _mask(spec, high: int, acc: np.ndarray) -> np.ndarray:
-    """Which assignments of chunk ``high`` satisfy the constraint of ``spec``.
+    @staticmethod
+    def one_chunk(num_vars: int) -> bool:
+        """Whether the assignments of ``num_vars`` variables fit one chunk."""
+        return num_vars <= _CHUNK_BITS
 
-    ``acc`` is a ``uint8`` scratch array of the chunk's length; a constraint's
-    variables are distinct, so its true-literal count fits while n <= 255.
-    The result is a new array.
-    """
-    lows, highs, is_parity, rhs = spec
-    acc.fill(sum(((high >> s) & 1) == p for s, p in highs) if highs else 0)
-    for bits in lows:
-        acc += bits
-    if is_parity:
-        acc &= 1
-        return acc == rhs
-    return acc >= rhs
+    def _spec(self, c: Constraint, bit_of: Mapping[int, int], low: dict):
+        """True or False for a constraint that holds or fails whatever the
+        assignment, else ``(lows, highs, is_parity, rhs)``: the ``low`` arrays
+        of its literals on bits below ``chunk_bits``, and the others' bits,
+        counted from ``chunk_bits``, with their signs.  Every kind except
+        PARITY is "at least t literals true"."""
+        lows, highs = [], []
+        for lit in c.literals:
+            b = bit_of[lit.var]
+            if b < self.chunk_bits:
+                lows.append(low[b, lit.positive])
+            else:
+                highs.append((b - self.chunk_bits, lit.positive))
+        if c.kind is Kind.PARITY:
+            return lows, highs, True, c.parity_rhs
+        t = c.effective_threshold()
+        if t <= 0 or t > c.arity:
+            return t <= 0
+        return lows, highs, False, t
 
+    def counts(self, high: int) -> np.ndarray:
+        """Satisfied count of each assignment of chunk ``high``, in a new array."""
+        counts = np.full(len(self._acc), self._always, dtype=np.int32)
+        for spec in self._varying:
+            counts += self._row(spec, high)
+        return counts
 
-def _first_max_satisfied_set(
-    constraints: Sequence[Constraint], variables: Sequence[int]
-) -> list[int]:
-    """Satisfied set of a maximiser over the 2^r assignments of ``variables``,
-    the first in ``itertools.combinations`` order among the maximisers' sets.
+    def mask(self, j: int, high: int) -> np.ndarray | bool:
+        """Which assignments of chunk ``high`` satisfy constraint ``j``: a new
+        boolean array, or a bool for a constant constraint."""
+        spec = self._specs[j]
+        return spec if isinstance(spec, bool) else self._row(spec, high)
 
-    ``variables`` must hold every variable of ``constraints`` and at most
-    ``_CHUNK_BITS`` of them, so one chunk covers all assignments.  Among sets
-    of one size, the first in that order is the one whose membership vector,
-    constraint 0 first, is largest; so the maximisers are narrowed,
-    constraint by constraint, to those that satisfy it whenever any does.
-    """
-    r = len(variables)
-    low = _low_bits(r)
-    bit_of = {x: b for b, x in enumerate(variables)}
-    acc = np.empty(1 << r, dtype=np.uint8)
-    specs = [_mask_spec(c, bit_of, r, low) for c in constraints]
-
-    def mask(spec):
-        # a constant constraint is an all-true or all-false row
-        return spec if isinstance(spec, bool) else _mask(spec, 0, acc)
-
-    counts = np.zeros(1 << r, dtype=np.int32)
-    for spec in specs:
-        counts += mask(spec)
-    chosen = counts == counts.max()
-    subset = []
-    for j, spec in enumerate(specs):
-        hit = chosen & mask(spec)
-        if hit.any():
-            chosen = hit
-            subset.append(j)
-    return subset
+    def _row(self, spec, high: int) -> np.ndarray:
+        lows, highs, is_parity, rhs = spec
+        acc = self._acc
+        acc.fill(sum(((high >> s) & 1) == p for s, p in highs) if highs else 0)
+        for bits in lows:
+            acc += bits
+        if is_parity:
+            acc &= 1
+            return acc == rhs
+        return acc >= rhs
 
 
 def parity_gauss_satisfiable(f: Formula) -> tuple[bool, Assignment | None]:
@@ -249,7 +213,10 @@ def random_formula(
         )
     mix: dict[Kind, float] = {}
     for k, w in kind_mix.items():
-        kind = k if isinstance(k, Kind) else Kind(str(k).upper())
+        try:
+            kind = k if isinstance(k, Kind) else Kind(str(k).upper())
+        except ValueError:
+            raise MalformedInstanceError(f"unknown constraint kind {k!r}") from None
         if w < 0:
             raise MalformedInstanceError("kind weights must be non-negative")
         mix[kind] = mix.get(kind, 0.0) + w

@@ -138,19 +138,31 @@ class ThresholdReduction:
     fvs_constraints: tuple[int, ...]
 
 
-def _padded_size_and_bits(n: int) -> tuple[int, int]:
-    padded = 1
-    bits = 0
-    while padded < n:
-        padded *= 2
-        bits += 1
-    return padded, bits
-
-
 def _code(vertex: int, bits: int) -> tuple[int, ...]:
     """Binary code of vertex-1, most significant bit first."""
     value = vertex - 1
     return tuple((value >> (bits - 1 - p)) & 1 for p in range(bits))
+
+
+def _code_index(g: MccGraph) -> tuple[GadgetIndex, int, int]:
+    """The index of a binary-code encoding with each part's code bits, the
+    part size padded to a power of two, and the code bits per part."""
+    bits = (g.part_size - 1).bit_length()
+    padded = 1 << bits
+    index = GadgetIndex(meta={"padded_part_size": padded, "bits_per_part": bits})
+    for i in range(1, g.parts + 1):
+        index.variables[f"part{i}/bits"] = tuple(range((i - 1) * bits + 1, i * bits + 1))
+    return index, padded, bits
+
+
+def _pair_literals(bits: int, i: int, u: int, j: int, v: int) -> tuple[Literal, ...]:
+    """Part i's code bits of vertex u, then part j's of vertex v, each literal
+    positive where the code bit is 1."""
+    return tuple(
+        Literal((part - 1) * bits + p + 1, bit == 1)
+        for part, vertex in ((i, u), (j, v))
+        for p, bit in enumerate(_code(vertex, bits))
+    )
 
 
 def mcc_to_cnf(g: MccGraph) -> CnfReduction:
@@ -161,29 +173,17 @@ def mcc_to_cnf(g: MccGraph) -> CnfReduction:
     in non-edges, so choosing it violates a clause.  The output is
     satisfiable iff the graph has a multicolored clique.
     """
-    padded, bits = _padded_size_and_bits(g.part_size)
-    index = GadgetIndex(meta={"padded_part_size": padded, "bits_per_part": bits})
-    num_vars = g.parts * bits
-    for i in range(1, g.parts + 1):
-        group = tuple(range((i - 1) * bits + 1, i * bits + 1))
-        index.variables[f"part{i}/bits"] = group
+    index, padded, bits = _code_index(g)
     clauses: list[Constraint] = []
     for i in range(1, g.parts + 1):
         for j in range(i + 1, g.parts + 1):
-            positions = []
+            start = len(clauses)
             for u in range(1, padded + 1):
                 for v in range(1, padded + 1):
-                    if g.has_edge(i, u, j, v):
-                        continue
-                    lits = []
-                    for p, bit in enumerate(_code(u, bits)):
-                        lits.append(Literal((i - 1) * bits + p + 1, bit == 1))
-                    for p, bit in enumerate(_code(v, bits)):
-                        lits.append(Literal((j - 1) * bits + p + 1, bit == 1))
-                    positions.append(len(clauses))
-                    clauses.append(Constraint(Kind.OR, tuple(lits)))
-            index.constraints[f"pair{i}.{j}/exclusions"] = tuple(positions)
-    return CnfReduction(Formula(num_vars, tuple(clauses)), index)
+                    if not g.has_edge(i, u, j, v):
+                        clauses.append(Constraint(Kind.OR, _pair_literals(bits, i, u, j, v)))
+            index.constraints[f"pair{i}.{j}/exclusions"] = tuple(range(start, len(clauses)))
+    return CnfReduction(Formula(g.parts * bits, tuple(clauses)), index)
 
 
 def mcc_to_dnf(g: MccGraph) -> DnfReduction:
@@ -193,37 +193,17 @@ def mcc_to_dnf(g: MccGraph) -> DnfReduction:
     optimum is C(k,2) iff the graph has a multicolored clique; the bundled
     epsilon = 1/k^2 makes (1-epsilon)*C(k,2) > C(k,2)-1.
     """
-    padded, bits = _padded_size_and_bits(g.part_size)
-    index = GadgetIndex(meta={"padded_part_size": padded, "bits_per_part": bits})
-    num_vars = g.parts * bits
-    for i in range(1, g.parts + 1):
-        group = tuple(range((i - 1) * bits + 1, i * bits + 1))
-        index.variables[f"part{i}/bits"] = group
+    index, _, bits = _code_index(g)
     terms: list[Constraint] = []
     for i in range(1, g.parts + 1):
         for j in range(i + 1, g.parts + 1):
-            positions = []
+            start = len(terms)
             for u, v in g.edges_between(i, j):
-                lits = []
-                for p, bit in enumerate(_code(u, bits)):
-                    lits.append(Literal((i - 1) * bits + p + 1, bit == 1))
-                for p, bit in enumerate(_code(v, bits)):
-                    lits.append(Literal((j - 1) * bits + p + 1, bit == 1))
-                positions.append(len(terms))
-                terms.append(Constraint(Kind.AND, tuple(lits)))
-            index.constraints[f"pair{i}.{j}/terms"] = tuple(positions)
+                terms.append(Constraint(Kind.AND, _pair_literals(bits, i, u, j, v)))
+            index.constraints[f"pair{i}.{j}/terms"] = tuple(range(start, len(terms)))
     target = g.parts * (g.parts - 1) // 2
     return DnfReduction(
-        Formula(num_vars, tuple(terms)), index, target, Fraction(1, g.parts * g.parts)
-    )
-
-
-def _at_most_one(lits: list[Literal]) -> Constraint:
-    # At least d-1 of the negated literals must hold.
-    return Constraint(
-        Kind.THRESHOLD,
-        tuple(l.negated() for l in lits),
-        threshold=max(len(lits) - 1, 0),
+        Formula(g.parts * bits, tuple(terms)), index, target, Fraction(1, g.parts * g.parts)
     )
 
 
@@ -288,7 +268,7 @@ def mcc_to_threshold(g: MccGraph) -> ThresholdReduction:
         part_chains[i] = chains
         firsts = [Literal(chain[0]) for chain in chains]
         lasts = [Literal(chain[-1]) for chain in chains]
-        fvs.extend(add(f"part{i}/at-most-one", [_at_most_one(firsts)]))
+        fvs.extend(add(f"part{i}/at-most-one", [_at_most(1, firsts)]))
         fvs.extend(add(f"part{i}/at-least-one", [_at_least(1, lasts)]))
 
     for i in range(1, g.parts + 1):
@@ -305,7 +285,7 @@ def mcc_to_threshold(g: MccGraph) -> ThresholdReduction:
                 add(f"{pair}/chain{u}.{v}/links", links)
             firsts = [Literal(chain[0]) for chain in edge_chains.values()]
             lasts = [Literal(chain[-1]) for chain in edge_chains.values()]
-            fvs.extend(add(f"{pair}/at-most-one", [_at_most_one(firsts)]))
+            fvs.extend(add(f"{pair}/at-most-one", [_at_most(1, firsts)]))
             fvs.extend(add(f"{pair}/at-least-one", [_at_least(1, lasts)]))
             for (u, v), chain in edge_chains.items():
                 first_of_u = part_chains[i][u - 1][0]

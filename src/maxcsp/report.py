@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import MalformedInstanceError
 from .model import Assignment, Formula, count_satisfied
 from .formats import instance_digest
 
@@ -20,10 +21,12 @@ def fraction_str(x: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    """Exact rational from user input; floats go through str to keep intent."""
-    if isinstance(text, float):
-        return Fraction(str(text))
-    return Fraction(text)
+    """Exact rational from user input; floats go through str to keep intent.
+    Text that names no finite rational raises ``MalformedInstanceError``."""
+    try:
+        return Fraction(str(text) if isinstance(text, float) else text)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInstanceError(f"not a rational number: {text!r}") from None
 
 
 @dataclass

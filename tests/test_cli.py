@@ -91,6 +91,33 @@ def test_solve_missing_epsilon(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "abc"], "'abc'"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/0"], "'1/0'"),
+        (["solve", "{file}", "--alg", "fvs-as", "--epsilon", "0.5x"], "'0.5x'"),
+        (["compare", "--algs", "oracle,cw-as", "--epsilons", "abc", "--dir", "{dir}", "-o", "{out}"], "'abc'"),
+        (["generate", "random", "-o", "{out}", "--kinds", "FOO=1"], "'FOO'"),
+        (["generate", "random", "-o", "{out}", "--kinds", "OR=x"], "'x'"),
+        (["solve", "{dir}/missing.mcsp", "--alg", "oracle"], "missing.mcsp"),
+        (["generate", "thr2maj", "-o", "{out}", "--input", "{dir}/missing.mcsp"], "missing.mcsp"),
+        (["compare", "--algs", "oracle", "--dir", "{dir}/missing", "-o", "{out}"], "missing"),
+    ],
+)
+def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):
+    # a CNF forest, so cw-as and fvs-as reach their epsilon
+    file = write(tmp_path, "a.mcsp", "p mcsp 2 2\no 1 2 0\no -1 0\n")
+    out = str(tmp_path / "out.txt")
+    argv = [a.format(file=file, dir=tmp_path, out=out) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert not os.path.exists(out)
+
+
 def test_generate_random_deterministic(tmp_path, capsys):
     out1 = str(tmp_path / "r1.mcsp")
     out2 = str(tmp_path / "r2.mcsp")

@@ -18,23 +18,15 @@ from maxcsp import (
     count_satisfied,
     max_csp_bruteforce,
     or_clause,
+    random_formula,
     residual_exact_max,
     simplify_fix_variable,
     solve_via_vertex_cover,
-    type_vector,
 )
-from maxcsp import cover_solver
+from maxcsp import cover_solver, oracle
 from maxcsp.cover_solver import feasible_true_counts
 
 from helpers import random_cover_instance, sigma_loop_vertex_cover, subset_search_residual_max
-
-
-def test_type_vector_examples():
-    cons = [or_clause(1, 2), or_clause(2), or_clause(-1, 3)]
-    assert type_vector(1, cons) == (1, 0, -1)
-    assert type_vector(4, cons[:2]) == (0, 0)
-    cons = [or_clause(-1), or_clause(-1, 2), or_clause(-1, 3)]
-    assert type_vector(1, cons) == (-1, -1, -1)
 
 
 def test_residual_conflicting_pair():
@@ -233,10 +225,11 @@ def test_routed_residual_equals_subset_search(monkeypatch):
 
 
 def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
-    # With the chunk limit below r, every level is a subset search.
-    monkeypatch.setattr(cover_solver, "_CHUNK_BITS", 1)
+    # With the oracle's chunk limit below r, every level is a subset search.
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 1)
     monkeypatch.setattr(cover_solver, "_first_max_satisfied_set", None)
     rng = random.Random(77)
+    would_switch = 0
     for _ in range(40):
         n, m = rng.randint(2, 6), rng.randint(3, 8)
         f = Formula(n, tuple(_random_constraint(rng, n, 3) for _ in range(m)))
@@ -244,6 +237,27 @@ def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
             continue
         res = residual_exact_max(f)
         assert (res.value, res.witness) == subset_search_residual_max(f)
+        level = _switch_level(f)
+        would_switch += level is not None and res.value <= level
+    # with 16-bit chunks these residuals would have been enumerated
+    assert would_switch >= 10
+
+
+def test_residual_enumeration_reads_the_oracle_chunk_constant(monkeypatch):
+    # The route check and the kernel read one constant: with 2-bit chunks a
+    # five-variable residual is never enumerated, so never from chunk 0 alone.
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
+    kinds = {"OR": 1, "THRESHOLD": 1, "AND": 1}
+    for seed in range(200):
+        f = random_formula(5, 8, kinds, (1, 3), seed)
+        res = residual_exact_max(f)
+        assert (res.value, res.witness) == subset_search_residual_max(f), seed
+
+
+def test_first_max_satisfied_set_refuses_several_chunks(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
+    with pytest.raises(AssertionError, match="span 2 oracle chunks"):
+        cover_solver._first_max_satisfied_set([or_clause(1, 2, 3)], [1, 2, 3])
 
 
 def _random_vertex_cover(rng: random.Random, f: Formula) -> VertexSplit:
@@ -326,7 +340,15 @@ def test_cover_solver_equals_sigma_loop(monkeypatch):
 
 def test_cover_solver_outside_counts_over_several_chunks(monkeypatch):
     # With a 2-bit chunk the outside counts come from several kernel chunks.
-    monkeypatch.setattr(cover_solver, "_CHUNK_BITS", 2)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
+    chunks = []
+    counts = oracle._SatisfiedCounts.counts
+
+    def spy(kernel, high):
+        chunks.append(high)
+        return counts(kernel, high)
+
+    monkeypatch.setattr(oracle._SatisfiedCounts, "counts", spy)
     rng = random.Random(606)
     for _ in range(60):
         n, m = rng.randint(3, 7), rng.randint(1, 9)
@@ -334,6 +356,7 @@ def test_cover_solver_outside_counts_over_several_chunks(monkeypatch):
         cover = rng.choice((VertexSplit(frozenset(range(1, n + 1)), frozenset()), _random_vertex_cover(rng, f)))
         res = solve_via_vertex_cover(f, cover)
         assert (res.value, res.witness) == sigma_loop_vertex_cover(f, cover)
+    assert max(chunks) >= 1
 
 
 def test_cover_solver_with_sixteen_cover_variables():

@@ -167,4 +167,4 @@ def test_long_path_and_caterpillar(legs):
     assert out.steps == f.num_vars
     assert out.removed_satisfied + out.removed_unsatisfied == f.num_constraints
     res = solve_forest(f)
-    assert res.value == count_satisfied(f, res.witness) == out.value
+    assert res.value == count_satisfied(f, res.witness) == out.removed_satisfied

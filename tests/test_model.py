@@ -99,8 +99,6 @@ def test_formula_stats():
     f = Formula(3, (or_clause(1, 2), at_least(1, 3), parity(0, 1, 2, 3)))
     assert f.num_constraints == 3
     assert f.occ == 6
-    assert f.constraints_containing(1) == (0, 2)
-    assert len(f.constraints_containing(2)) == 2
 
 
 def test_eval_requires_defined_variables():
