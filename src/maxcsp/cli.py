@@ -153,13 +153,7 @@ def _solve_instance(
         res = cover_solver.solve_via_vertex_cover(f, inc.split(cover.witness))
         return make_report("vc", f, res.value, res.witness)
     if alg == "fvs-as":
-        inc = build_incidence_graph(f)
-        fvs = structure.feedback_vertex_set(inc.graph, args.max_fvs)
-        if fvs.exceeded:
-            raise ResourceLimitError(
-                f"no incidence feedback vertex set within budget {args.max_fvs}; raise --max-fvs"
-            )
-        return fvs_solver.approx_via_fvs(f, inc.split(fvs.witness), args.epsilon)
+        return fvs_solver.solve_with_fvs_search(f, args.epsilon, args.max_fvs)
     if alg == "cw-as":
         return cnf_approx.approx_max_cnf(
             f,
@@ -284,11 +278,12 @@ def _compare_task(task: tuple) -> list[tuple]:
 
     The file is parsed once, and every exact solve of the task (the oracle
     row, cw-as projections, the oracle_opt column) goes through one memo.
+    A file that does not parse or cannot be read fails only its own rows.
     """
     path, name, runs, seed, trials, oracle_limit = task
     try:
         f = parse_instance(_read_text(path))
-    except (ParseError, MalformedInstanceError):
+    except (ParseError, MalformedInstanceError, OSError):
         return [(name, alg, eps or "", None, None, "", "error:parse", None) for alg, eps in runs]
     exact = _exact_memo(oracle_limit)
     solved = []

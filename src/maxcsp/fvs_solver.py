@@ -16,11 +16,12 @@ from fractions import Fraction
 from itertools import product
 
 from .cover_solver import all_constraints_cover, solve_via_vertex_cover
-from .errors import ContractViolationError, PreconditionError
+from .errors import ContractViolationError, MalformedInstanceError, PreconditionError, ResourceLimitError
 from .forest_solver import solve_forest
 from .graphs import VertexSplit, build_incidence_graph, check_split_range, is_acyclic
 from .model import Assignment, Formula, Kind, as_threshold_formula, count_satisfied, simplify_fix_variable
 from .report import SolveReport, make_report, parse_fraction
+from .structure import feedback_vertex_set, fvs_bounds
 
 ROUTE_EXACT_SMALL = "exact-small"
 ROUTE_APPROX = "approx"
@@ -51,13 +52,48 @@ def plan_route(f: Formula, fvs: VertexSplit, epsilon) -> FvsPlan:
     eps = parse_fraction(epsilon)
     if not 0 < eps < 1:
         raise PreconditionError(f"epsilon must be in (0, 1), got {eps}")
-    k = fvs.size
-    small = Fraction(f.num_constraints) <= (1 + Fraction(2) / eps) * k
+    small = _is_small(f.num_constraints, fvs.size, eps)
     return FvsPlan(fvs, eps, ROUTE_EXACT_SMALL if small else ROUTE_APPROX)
 
 
+def _is_small(m: int, k: int, eps: Fraction) -> bool:
+    return Fraction(m) <= (1 + Fraction(2) / eps) * k
+
+
+def solve_with_fvs_search(f: Formula, epsilon, max_fvs: int) -> SolveReport:
+    """``approx_via_fvs`` with a minimum incidence FVS of at most ``max_fvs``.
+
+    When the FVS lower bound alone selects the exact-small route, so does
+    every FVS, and that route reads only F's size: the greedy FVS is then
+    passed, if it fits the budget, and the exact search skipped.
+    Otherwise the search runs first, so a minimum above the budget raises
+    ``ResourceLimitError`` before epsilon or the constraint kinds are checked.
+    """
+    inc = build_incidence_graph(f)
+    lower, greedy = fvs_bounds(inc.graph)
+    try:
+        eps = parse_fraction(epsilon)
+    except MalformedInstanceError:
+        eps = None
+    settled = eps is not None and 0 < eps < 1 and _is_small(f.num_constraints, lower, eps)
+    if settled and len(greedy) <= max_fvs:
+        witness = greedy
+    else:
+        fvs = feedback_vertex_set(inc.graph, max_fvs)
+        if fvs.exceeded:
+            raise ResourceLimitError(
+                f"no incidence feedback vertex set within budget {max_fvs}; raise --max-fvs"
+            )
+        witness = fvs.witness
+    return approx_via_fvs(f, inc.split(witness), epsilon)
+
+
 def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> SolveReport:
-    """(1 - eps)-approximate MAX-THRESHOLD given a verified feedback vertex set."""
+    """(1 - eps)-approximate MAX-THRESHOLD given a verified feedback vertex set.
+
+    The exact-small route reads only |F|, so every FVS that selects it
+    gives the same report.
+    """
     if any(c.kind is Kind.PARITY for c in f.constraints):
         raise PreconditionError("feedback-vertex-set scheme handles only threshold-style constraints")
     try:

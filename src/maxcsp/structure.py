@@ -135,14 +135,20 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
     Complete bounded-depth search: find a short cycle and branch on each of
     its vertices.  Every node carries the 2-core of G − chosen, updated
     incrementally by the degree-at-most-one deletion rule, so a node whose
-    core is empty is a leaf without a cycle search.  Every FVS contains a
-    vertex of the branched cycle, so ties between optimal witnesses go to
-    the lexicographically smallest vertex set.  Previously explored
-    deletion sets are memoized.
+    core is empty is a leaf without a cycle search.  The greedy FVS of
+    ``fvs_bounds`` is the first incumbent when it fits the budget, and a
+    node is pruned when ``len(chosen)`` plus the core's cycle-rank bound
+    exceeds the budget or the incumbent's size.  Both tests are strict and
+    every FVS contains a vertex of the branched cycle, so every minimum FVS
+    is still reached and ties between optimal witnesses go to the
+    lexicographically smallest vertex set.  Previously explored deletion
+    sets are memoized.
     """
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
-    best: list = [None, None]
+    root = TwoCore(g)
+    greedy = _greedy_fvs(root)
+    best: list = [len(greedy), greedy] if len(greedy) <= budget else [None, None]
     seen: set[frozenset[int]] = set()
 
     def rec(chosen: frozenset[int], core: TwoCore) -> None:
@@ -152,17 +158,52 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
             if best[0] is None or (len(cand), cand) < (best[0], best[1]):
                 best[0], best[1] = len(cand), cand
             return
-        if len(chosen) >= budget:
-            return
-        if best[0] is not None and len(chosen) + 1 > best[0]:
+        bound = len(chosen) + _cycle_rank_bound(core)
+        if bound > budget or (best[0] is not None and bound > best[0]):
             return
         for v in sorted(find_cycle(g, core.dead)):
             child = chosen | {v}
             if child not in seen:
                 rec(child, core.without(v))
 
-    rec(frozenset(), TwoCore(g))
+    rec(frozenset(), root)
     return BudgetedResult(best[0], best[1], budget)
+
+
+def fvs_bounds(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """A lower bound on the minimum FVS of ``g`` and a greedy FVS (sorted)."""
+    root = TwoCore(g)
+    return _cycle_rank_bound(root), _greedy_fvs(root)
+
+
+def _cycle_rank_bound(core: TwoCore) -> int:
+    # The core has E edges on V vertices, so its cycle rank is at least
+    # E − V + 1, and deleting a vertex of core degree d lowers it by at most
+    # d − 1: an FVS needs at least as many vertices as the fewest largest
+    # degrees whose (d − 1) sum reaches E − V + 1.  Zero on an empty core.
+    dead = core.dead
+    degrees = sorted((d for v, d in enumerate(core.degree) if v not in dead), reverse=True)
+    need = sum(degrees) // 2 - len(degrees) + 1
+    count = 0
+    for d in degrees:
+        if need <= 0:
+            break
+        need -= d - 1
+        count += 1
+    return count
+
+
+def _greedy_fvs(core: TwoCore) -> tuple[int, ...]:
+    # Delete the live vertex of highest core degree (smallest index on
+    # ties) until the core is empty.
+    chosen = []
+    live = [v for v in range(core.graph.num_vertices) if v not in core.dead]
+    while live:
+        v = max(live, key=core.degree.__getitem__)  # the first of the largest
+        chosen.append(v)
+        core = core.without(v)
+        live = [u for u in live if u not in core.dead]
+    return tuple(sorted(chosen))
 
 
 def analyze_graph(

@@ -328,6 +328,45 @@ def test_compare_bad_file_fails_only_its_rows(tmp_path, capsys):
     ]
 
 
+def test_compare_unreadable_entry_fails_only_its_rows(tmp_path, capsys):
+    good = tmp_path / "good"
+    good.mkdir()
+    write(good, "a.mcsp", FOREST)
+    args = ["compare", "--algs", "oracle,tree", "--workers", "1"]
+    assert main(args + ["--dir", str(good), "-o", str(tmp_path / "good.csv")]) == 0
+    (good / "x.mcsp").mkdir()  # listed like an instance, but a directory
+    assert main(args + ["--dir", str(good), "-o", str(tmp_path / "mixed.csv")]) == 0
+    lines = (tmp_path / "mixed.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("x.mcsp")] == (
+        (tmp_path / "good.csv").read_text().splitlines()
+    )
+    assert [line for line in lines if line.startswith("x.mcsp")] == [
+        "x.mcsp,oracle,,,,,error:parse,",
+        "x.mcsp,tree,,,,,error:parse,",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [
+        (CYCLIC, ["--epsilon", "abc", "--max-fvs", "0"], 3),
+        (CYCLIC, ["--epsilon", "2", "--max-fvs", "0"], 3),
+        (CYCLIC, ["--epsilon", "1/4", "--max-fvs", "0"], 3),
+        (CYCLIC, ["--epsilon", "abc"], 1),
+        (CYCLIC, ["--epsilon", "2"], 2),
+        (PARITY, ["--epsilon", "1/4"], 2),
+        (PARITY, ["--epsilon", "1/4", "--max-fvs", "0"], 3),
+    ],
+)
+def test_fvs_as_exit_codes(tmp_path, capsys, text, argv, code):
+    # The exact FVS search runs before epsilon and the constraint kinds are
+    # checked, so a search over budget exits 3 whatever else is wrong.
+    path = write(tmp_path, "a.mcsp", text)
+    assert main(["solve", "--alg", "fvs-as", path] + argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_compare_solves_each_formula_once_and_matches_solve(tmp_path, capsys, monkeypatch):
     import csv
     import random as random_mod

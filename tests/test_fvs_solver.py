@@ -136,3 +136,86 @@ def test_variable_vertices_in_the_feedback_set():
             if report.route == "approx":
                 guesses_exercised += 1
     assert guesses_exercised > 0
+
+
+def _count_exact_searches(monkeypatch) -> list:
+    from maxcsp import fvs_solver
+
+    calls = []
+    search = fvs_solver.feedback_vertex_set
+
+    def counting(g, budget):
+        calls.append(budget)
+        return search(g, budget)
+
+    monkeypatch.setattr(fvs_solver, "feedback_vertex_set", counting)
+    return calls
+
+
+def _cycle_with_fillers(fillers: int) -> Formula:
+    # two constraints on variables 1 and 2 close a 4-cycle; each filler is a
+    # unit constraint on a variable of its own
+    cycle = (at_least(1, 1, 2), at_least(2, 1, -2))
+    return Formula(2 + fillers, cycle + tuple(at_least(1, 3 + i) for i in range(fillers)))
+
+
+def test_exact_search_is_skipped_only_when_the_bound_settles_the_route(monkeypatch):
+    from maxcsp.fvs_solver import solve_with_fvs_search
+
+    calls = _count_exact_searches(monkeypatch)
+    # lower bound 1, so m <= 1 + 2/eps settles exact-small
+    for fillers, eps, searched in (
+        (0, "1/4", False),
+        (7, "1/4", False),  # m = 9 = (1 + 8) * 1
+        (8, "1/4", True),  # m = 10: only the exact size decides the route
+        (30, "1/2", True),
+        (2, "99/100", True),  # m = 4 > 1 + 200/99
+        (1, "99/100", False),
+    ):
+        calls.clear()
+        f = _cycle_with_fillers(fillers)
+        report = solve_with_fvs_search(f, eps, 12)
+        assert bool(calls) == searched, (fillers, eps)
+        # the minimum FVS has one vertex, so the searched cases are the ones
+        # beyond 1 + 2/eps constraints
+        assert report.route == ("approx" if searched else "exact-small")
+
+
+def _fvs_as_instances():
+    from maxcsp import MccGraph, complete_mcc, mcc_to_threshold, random_formula, serialize_instance
+
+    kinds = {"OR": 1, "AND": 1, "THRESHOLD": 2, "MAJORITY": 1}
+    for seed in range(24):
+        n, m = 3 + seed % 5, 2 + seed % 9
+        yield f"rand{seed}", serialize_instance(random_formula(n, m, kinds, (1, 3), seed))
+    edges = sorted(complete_mcc(2, 2).edges)
+    for i, graph in enumerate([[e] for e in edges] + [[edges[0], edges[3]]]):
+        yield f"gadget{i}", serialize_instance(mcc_to_threshold(MccGraph(2, 2, frozenset(graph))).formula)
+
+
+def test_fvs_as_output_is_the_same_without_the_shortcut(tmp_path, capsys, monkeypatch):
+    from maxcsp import fvs_solver, structure
+    from maxcsp.cli import main
+
+    calls = _count_exact_searches(monkeypatch)
+    skipped = 0
+    for name, text in _fvs_as_instances():
+        path = tmp_path / f"{name}.mcsp"
+        path.write_text(text)
+        outputs = []
+        for shortcut in (True, False):
+            with monkeypatch.context() as patch:
+                if not shortcut:
+                    # a lower bound of 0 settles nothing on a non-empty instance
+                    patch.setattr(fvs_solver, "fvs_bounds", lambda g: (0, structure.fvs_bounds(g)[1]))
+                calls.clear()
+                for eps in ("1/4", "1/2", "9/10"):
+                    code = main(["solve", "--alg", "fvs-as", "--epsilon", eps, str(path), "--json", "--with-oracle"])
+                    captured = capsys.readouterr()
+                    outputs.append((code, captured.out, captured.err))
+                if shortcut:
+                    skipped += 3 - len(calls)
+                else:
+                    assert len(calls) == 3
+        assert outputs[:3] == outputs[3:], name
+    assert skipped >= 30

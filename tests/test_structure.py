@@ -4,6 +4,7 @@ import pytest
 
 from maxcsp import (
     Formula,
+    Graph,
     MalformedInstanceError,
     analyze_graph,
     build_incidence_graph,
@@ -17,7 +18,9 @@ from maxcsp import (
     vertex_cover_number,
 )
 
+from maxcsp import structure
 from maxcsp.graphs import find_cycle, is_acyclic
+from maxcsp.structure import fvs_bounds
 
 from helpers import (
     brute_lex_min_fvs,
@@ -226,3 +229,61 @@ def test_find_cycle_prefers_short_cycles():
     # the 9-cycle comes first in vertex order; pendant trees hang off both
     g = with_pendant_trees(disjoint_union(cycle_graph(9), cycle_graph(4)), 20, random.Random(5))
     assert len(find_cycle(g)) == 4
+
+
+def test_fvs_lower_bound_is_at_most_the_minimum():
+    rng = random.Random(47)
+    graphs = list(_fvs_families()) + [random_graph(rng.randint(1, 9), rng.random(), rng) for _ in range(60)]
+    for g in graphs:
+        lower, _ = fvs_bounds(g)
+        assert lower <= len(brute_lex_min_fvs(g, g.num_vertices)), g
+    for n in range(3, 9):
+        assert fvs_bounds(cycle_graph(n))[0] == 1
+    assert fvs_bounds(complete_graph(4))[0] == brute_min_fvs(complete_graph(4), 4) == 2
+    assert fvs_bounds(path_graph(5)) == (0, ())
+
+
+def test_greedy_fvs_is_a_feedback_vertex_set():
+    rng = random.Random(53)
+    graphs = list(_fvs_families()) + [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(60)]
+    for g in graphs:
+        lower, greedy = fvs_bounds(g)
+        assert list(greedy) == sorted(set(greedy))
+        assert is_forest_by_union_find(g, greedy), g
+        assert len(greedy) >= lower
+
+
+def test_witness_is_lex_smallest_when_the_greedy_fvs_is_minimum_but_not_lex_smallest():
+    # Greedy deletes 1 (degree 3, the smallest index of four) and then 2;
+    # {0, 2} has the same size and is lexicographically smaller.
+    g = Graph(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert fvs_bounds(g)[1] == (1, 2)
+    assert feedback_vertex_set(g, 12).witness == brute_lex_min_fvs(g, 12) == (0, 2)
+
+
+def test_gadget_fvs_is_found_with_few_cycle_searches(monkeypatch):
+    calls = []
+
+    def counting(g, removed=frozenset()):
+        calls.append(1)
+        return find_cycle(g, removed)
+
+    monkeypatch.setattr(structure, "find_cycle", counting)
+    g = build_incidence_graph(mcc_to_threshold(complete_mcc(2, 3)).formula).graph
+    res = feedback_vertex_set(g, 8)
+    assert res.witness == (33, 38, 49, 50, 60, 61)
+    # 67 with the cycle-rank bound and the greedy incumbent; 1867 without.
+    assert len(calls) <= 200
+
+
+def test_fvs_at_every_budget_up_to_the_minimum():
+    # At a budget equal to the minimum the search may not prune a node whose
+    # bound meets the budget; below it, it finds nothing.
+    rng = random.Random(59)
+    graphs = list(_fvs_families()) + [random_graph(rng.randint(3, 8), rng.random(), rng) for _ in range(30)]
+    graphs.append(Graph(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)]))
+    for g in graphs:
+        lex = brute_lex_min_fvs(g, g.num_vertices)
+        for budget in range(len(lex) + 1):
+            res = feedback_vertex_set(g, budget)
+            assert res.witness == (lex if budget == len(lex) else None), (g, budget)
