@@ -18,7 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     ContractViolationError,
@@ -27,11 +30,13 @@ from .errors import (
     ResourceLimitError,
 )
 from .model import Assignment, Constraint, Formula, Kind, Literal, count_satisfied
-from .oracle import DEFAULT_VAR_LIMIT, OracleResult, max_csp_bruteforce
+from .oracle import DEFAULT_VAR_LIMIT, OracleResult, _LinearForm, max_csp_bruteforce
 from .report import SolveReport, make_report, parse_fraction
 
 DEFAULT_TRIALS = 32
 DEFAULT_WINDOW_EXPONENT = 4
+# entries a scoring batch may hold: candidates times (1 + variables + literals + clauses)
+_BATCH_ENTRIES = 1 << 20
 
 ExactBackend = Callable[[Formula], OracleResult]
 
@@ -231,16 +236,21 @@ def _project_and_solve(
     return {v: result.witness.value(rename[v]) for v in variables}
 
 
-def _random_fill(
-    base: dict[int, int], num_vars: int, rng: random.Random
-) -> Assignment:
-    bits = []
-    for var in range(1, num_vars + 1):
-        if var in base:
-            bits.append(base[var])
-        else:
-            bits.append(rng.getrandbits(1))
-    return Assignment(tuple(bits))
+def _draw_candidates(
+    candidates: Sequence[tuple[str, dict[int, int]]], num_vars: int, seed: int, trials: range
+) -> np.ndarray:
+    """The candidates of ``trials``, one row each in (trial, label) order:
+    the label's base values, and for the other variables, in ascending
+    order, one ``getrandbits(1)`` each of ``random.Random(f"{seed}:{trial}:{label}")``."""
+    x = np.empty((len(trials), len(candidates), num_vars), dtype=np.uint8)
+    for i, (label, base) in enumerate(candidates):
+        free = [v - 1 for v in range(1, num_vars + 1) if v not in base]
+        x[:, i] = [base.get(v, 0) for v in range(1, num_vars + 1)]
+        x[:, i, free] = [
+            list(map(random.Random(f"{seed}:{trial}:{label}").getrandbits, repeat(1, len(free))))
+            for trial in trials
+        ]
+    return x.reshape(len(trials) * len(candidates), num_vars)
 
 
 def expected_unsatisfied(f: Formula, clause_indices: Iterable[int] | None = None) -> Fraction:
@@ -334,19 +344,20 @@ def approx_max_cnf(
             route = "unbalanced-long"
             candidates.append(("main", {}))
 
+    # Score the candidates in (trial, label) order, a bounded batch of
+    # trials at a time; the first maximum wins.
+    form = _LinearForm(f.constraints, range(1, f.num_vars + 1))
+    batch = max(1, _BATCH_ENTRIES // (len(candidates) * (1 + f.num_vars + f.occ + m)))
     best_value = -1
-    best_witness: Assignment | None = None
-    for trial in range(trials):
-        for label, base in candidates:
-            rng = random.Random(f"{seed}:{trial}:{label}")
-            candidate = _random_fill(base, f.num_vars, rng)
-            value = count_satisfied(f, candidate)
-            if value > best_value:
-                best_value = value
-                best_witness = candidate
-
-    if best_witness is None:
-        raise AssertionError("no candidate scored; trials is at least 1")
+    for first in range(0, trials, batch):
+        x = _draw_candidates(candidates, f.num_vars, seed, range(first, min(first + batch, trials)))
+        values = form.score(x.T)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, best_bits = int(values[i]), x[i]
+    best_witness = Assignment(tuple(best_bits.tolist()))
+    if count_satisfied(f, best_witness) != best_value:
+        raise AssertionError("batched score of the winning candidate differs from count_satisfied")
     return make_report(
         "cw-as",
         f,

@@ -21,6 +21,7 @@ from .model import (
 
 DEFAULT_VAR_LIMIT = 26
 _CHUNK_BITS = 16
+_BLOCK_BYTES = 1 << 19
 _MAX_KERNEL_VARS = 255
 
 
@@ -39,8 +40,8 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
     is lexicographic order.  At most 255 variables, whatever ``var_limit``.
     """
     n = f.num_vars
-    # A constraint's variables are distinct, so its true-literal count is at
-    # most n; the kernel's uint8 accumulator holds it only up to 255.
+    # A constraint's variables are distinct, so its threshold is at most n;
+    # the kernel's uint8 needs hold it only up to 255.
     limit = min(var_limit, _MAX_KERNEL_VARS)
     if n > limit:
         raise ResourceLimitError(
@@ -60,87 +61,154 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
     return OracleResult(best_value, Assignment(bits))
 
 
+class _LinearForm:
+    """``constraints`` as linear forms over the 0/1 values of ``variables``,
+    which hold every variable of the constraints: a constraint's true
+    literals number base + sum(+-x_v), base counting its negated literals.
+
+    A constraint that holds or fails whatever the assignment is a bool in
+    ``const``, and ``always`` counts those that hold; every other one is row
+    ``row_of[j]``.  The first ``num_geq`` rows hold when the count is at
+    least ``target``, their threshold (every kind except PARITY); the rest
+    are PARITY rows and hold when the count's parity is ``target``.  Row r's
+    literals are ``cols[starts[r]:starts[r] + arity[r]]``, positions in
+    ``variables``, with ``neg`` 1 for a negated literal.
+    """
+
+    def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
+        geq: list[tuple[int, int]] = []  # (constraint, target)
+        par: list[tuple[int, int]] = []
+        self.const: dict[int, bool] = {}
+        for j, c in enumerate(constraints):
+            parity = c.kind is Kind.PARITY
+            t = c.parity_rhs if parity else c.effective_threshold()
+            if c.literals and (parity or 0 < t <= c.arity):
+                (par if parity else geq).append((j, t))
+            else:
+                # an empty PARITY constraint holds when its right-hand side is 0
+                self.const[j] = t <= 0
+        self.always = sum(self.const.values())
+        self.num_geq = len(geq)
+        rows = geq + par
+        self.row_of = {j: r for r, (j, _) in enumerate(rows)}
+        self.target = np.array([t for _, t in rows], dtype=np.int32)[:, None]
+        pos = {x: p for p, x in enumerate(variables)}
+        lits = [(pos[var], not positive) for j, _ in rows for var, positive in constraints[j].literals]
+        self.cols = np.array([p for p, _ in lits], dtype=np.intp)
+        self.neg = np.array([q for _, q in lits], dtype=np.uint8)[:, None]
+        self.arity = np.array([constraints[j].arity for j, _ in rows], dtype=np.intp)
+        self.starts = np.cumsum(self.arity) - self.arity
+
+    def true_counts(self, x: np.ndarray) -> np.ndarray:
+        """Each row's true literals at each column of ``x``: 0/1 values, one
+        row per variable in ``variables`` order."""
+        return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
+
+    def count_held(self, counts: np.ndarray, need: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Rows held at each column: count at least need in the first
+        ``num_geq`` rows, count equal to need in the PARITY rows, whose
+        counts and needs the caller has taken mod 2.  ``held`` is a boolean
+        scratch array of ``counts``' shape."""
+        k = self.num_geq
+        np.greater_equal(counts[:k], need[:k], out=held[:k])
+        np.equal(counts[k:], need[k:], out=held[k:])
+        return np.add.reduce(held, axis=0, dtype=np.uint8 if len(held) <= 255 else np.int32)
+
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """Satisfied count at each column of ``x``, laid out as in
+        ``true_counts``."""
+        counts = self.true_counts(x)
+        counts[self.num_geq:] &= 1
+        held = self.count_held(counts, self.target, np.empty(counts.shape, dtype=bool))
+        return held.astype(np.int64) + self.always
+
+
 class _SatisfiedCounts:
     """Satisfied counts of ``constraints`` over the 2^n assignments of the n
     ``variables``, which hold every variable of the constraints.
 
     ``variables[p]`` is index bit n - 1 - p: the first variable is the most
     significant bit, so ascending index order is ``itertools.product`` order.
-    Indices run in ``num_chunks`` chunks of 2^``chunk_bits``.  Index bits
-    below ``chunk_bits`` repeat in every chunk, so their arrays are built
-    once; bits above are constant within a chunk and enter each constraint's
-    count as a scalar.  True literals are counted in a ``uint8`` scratch
-    array, so n must be at most 255.
+    Indices run in ``num_chunks`` chunks of 2^``chunk_bits``, and each chunk
+    in blocks of 2^b.  Index bits below b repeat in every block: a ``uint8``
+    matrix built once holds each row's true literals on them (mod 2 for
+    PARITY) at every position of a block, and b is the largest that keeps
+    it within ``_BLOCK_BYTES``.  Bits from b up are constant within a block,
+    so they only lower each row's need; one comparison per kind of row and
+    one sum score a whole block.  The needs are held in ``uint8``, so n must
+    be at most 255.
     """
 
     def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
         n = len(variables)
         self.chunk_bits = min(n, _CHUNK_BITS)
         self.num_chunks = 1 << (n - self.chunk_bits)
-        idx = np.arange(1 << self.chunk_bits)
-        # per index bit below chunk_bits and sign, that literal's 0/1 value at
-        # every position of a chunk
-        low: dict[tuple[int, bool], np.ndarray] = {}
-        for b in range(self.chunk_bits):
-            bits = ((idx >> b) & 1).astype(np.uint8)
-            low[b, True] = bits
-            low[b, False] = bits ^ 1
-        bit_of = {x: n - 1 - p for p, x in enumerate(variables)}
-        self._specs = [self._spec(c, bit_of, low) for c in constraints]
-        # Constraints that hold or fail whatever the assignment never reach
-        # the arrays.
-        self._always = sum(spec is True for spec in self._specs)
-        self._varying = [spec for spec in self._specs if not isinstance(spec, bool)]
-        self._acc = np.empty(1 << self.chunk_bits, dtype=np.uint8)
+        form = self._form = _LinearForm(constraints, variables)
+        rows = len(form.target)
+        budget_bits = (_BLOCK_BYTES // max(rows, 1)).bit_length() - 1
+        self._block_bits = b = min(self.chunk_bits, max(0, budget_bits))
+        self._shift = np.arange(n - 1, -1, -1)[:, None]
+        # true_at[v, r, p] is 1 when row r has a literal on variables[p] that
+        # holds when that variable is v
+        true_at = np.zeros((2, rows, n), dtype=np.uint8)
+        true_at[1 - form.neg[:, 0], np.repeat(np.arange(rows), form.arity), form.cols] = 1
+        low = np.zeros((rows, 1 << b), dtype=np.uint8)
+        for k in range(b):
+            # index bit k doubles the positions counted so far
+            size, p = 1 << k, n - 1 - k
+            np.add(low[:, :size], true_at[1, :, p:p + 1], out=low[:, size:2 * size])
+            low[:, :size] += true_at[0, :, p:p + 1]
+        # each row's true literals on the low bits when they are all 0
+        self._low_at_0 = low[:, :1].astype(np.int32)
+        low[form.num_geq:] &= 1
+        self._low_counts = low
+        self._held = np.empty(low.shape, dtype=bool)
+        self._last_needs: tuple[int, np.ndarray | None] = (-1, None)  # (chunk, needs)
 
     @staticmethod
     def one_chunk(num_vars: int) -> bool:
         """Whether the assignments of ``num_vars`` variables fit one chunk."""
         return num_vars <= _CHUNK_BITS
 
-    def _spec(self, c: Constraint, bit_of: Mapping[int, int], low: dict):
-        """True or False for a constraint that holds or fails whatever the
-        assignment, else ``(lows, highs, is_parity, rhs)``: the ``low`` arrays
-        of its literals on bits below ``chunk_bits``, and the others' bits,
-        counted from ``chunk_bits``, with their signs.  Every kind except
-        PARITY is "at least t literals true"."""
-        lows, highs = [], []
-        for lit in c.literals:
-            b = bit_of[lit.var]
-            if b < self.chunk_bits:
-                lows.append(low[b, lit.positive])
-            else:
-                highs.append((b - self.chunk_bits, lit.positive))
-        if c.kind is Kind.PARITY:
-            return lows, highs, True, c.parity_rhs
-        t = c.effective_threshold()
-        if t <= 0 or t > c.arity:
-            return t <= 0
-        return lows, highs, False, t
+    def _needs(self, high: int) -> np.ndarray:
+        """Each row's need (rows) in each block of chunk ``high`` (columns):
+        its target less its true literals on the block's bits from b up, at
+        least 0, or mod 2 for a PARITY row.  The last chunk's needs are kept,
+        as ``mask`` asks for one chunk constraint by constraint."""
+        if self._last_needs[0] != high:
+            b = self._block_bits
+            blocks = np.arange(1 << (self.chunk_bits - b)) + (high << (self.chunk_bits - b))
+            # the assignment at each block's first index, one column per block
+            x = (((blocks << b) >> self._shift) & 1).astype(np.uint8)
+            form = self._form
+            need = form.target - form.true_counts(x) + self._low_at_0
+            k = form.num_geq
+            need[k:] &= 1
+            np.maximum(need[:k], 0, out=need[:k])
+            self._last_needs = (high, need.astype(np.uint8))
+        return self._last_needs[1]
 
     def counts(self, high: int) -> np.ndarray:
         """Satisfied count of each assignment of chunk ``high``, in a new array."""
-        counts = np.full(len(self._acc), self._always, dtype=np.int32)
-        for spec in self._varying:
-            counts += self._row(spec, high)
+        need = self._needs(high)
+        size = 1 << self._block_bits
+        counts = np.empty(1 << self.chunk_bits, dtype=np.int32)
+        for i in range(need.shape[1]):
+            counts[i * size:(i + 1) * size] = self._form.count_held(
+                self._low_counts, need[:, i:i + 1], self._held
+            )
+        counts += self._form.always
         return counts
 
     def mask(self, j: int, high: int) -> np.ndarray | bool:
         """Which assignments of chunk ``high`` satisfy constraint ``j``: a new
         boolean array, or a bool for a constant constraint."""
-        spec = self._specs[j]
-        return spec if isinstance(spec, bool) else self._row(spec, high)
-
-    def _row(self, spec, high: int) -> np.ndarray:
-        lows, highs, is_parity, rhs = spec
-        acc = self._acc
-        acc.fill(sum(((high >> s) & 1) == p for s, p in highs) if highs else 0)
-        for bits in lows:
-            acc += bits
-        if is_parity:
-            acc &= 1
-            return acc == rhs
-        return acc >= rhs
+        form = self._form
+        if j in form.const:
+            return form.const[j]
+        r = form.row_of[j]
+        held = np.greater_equal if r < form.num_geq else np.equal
+        return held(self._low_counts[r], self._needs(high)[r][:, None]).ravel()
 
 
 def parity_gauss_satisfiable(f: Formula) -> tuple[bool, Assignment | None]:

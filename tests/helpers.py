@@ -442,6 +442,35 @@ def random_cnf(
     return Formula(num_vars, tuple(clauses))
 
 
+def random_fill(base: dict[int, int], num_vars: int, rng: random.Random) -> Assignment:
+    """One cw-as candidate: ``base``'s values, and a ``getrandbits(1)`` of
+    ``rng`` for each other variable in ascending order."""
+    bits = []
+    for var in range(1, num_vars + 1):
+        if var in base:
+            bits.append(base[var])
+        else:
+            bits.append(rng.getrandbits(1))
+    return Assignment(tuple(bits))
+
+
+def best_of_trials(
+    f: Formula, candidates: list[tuple[str, dict[int, int]]], seed: int, trials: int
+) -> tuple[int, Assignment]:
+    """The cw-as candidate scoring as one plain loop: for each trial and
+    label in order, fill the label's base from
+    ``random.Random(f"{seed}:{trial}:{label}")`` and count its satisfied
+    clauses one by one; the first strictly larger value wins."""
+    best_value, best_witness = -1, None
+    for trial in range(trials):
+        for label, base in candidates:
+            candidate = random_fill(base, f.num_vars, random.Random(f"{seed}:{trial}:{label}"))
+            value = count_satisfied(f, candidate)
+            if value > best_value:
+                best_value, best_witness = value, candidate
+    return best_value, best_witness
+
+
 def planted_satisfiable_cnf(
     rng: random.Random, num_vars: int, num_clauses: int, arities: list[int]
 ) -> Formula:

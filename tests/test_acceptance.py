@@ -61,6 +61,7 @@ from helpers import (
     random_cnf,
     random_cover_instance,
     random_forest_formula,
+    random_fill,
     random_small_fvs_instance,
     satisfying_assignments,
 )
@@ -271,7 +272,7 @@ def test_criterion_05_cnf_approx_paths():
 
     # balanced branch under a reduced window exponent: never below the two
     # baseline strategies (exact short side + random fill, all random)
-    from maxcsp.cnf_approx import _project_and_solve, _random_fill
+    from maxcsp.cnf_approx import _project_and_solve
     from maxcsp.oracle import max_csp_bruteforce as backend
 
     balanced_runs = 0
@@ -283,8 +284,8 @@ def test_criterion_05_cnf_approx_paths():
         assert rep.route == "balanced"
         base_short = _project_and_solve(f, part.short, backend)
         for trial in range(8):
-            cand_short = _random_fill(base_short, f.num_vars, random.Random(f"{seed}:{trial}:short"))
-            cand_rand = _random_fill({}, f.num_vars, random.Random(f"{seed}:{trial}:rand"))
+            cand_short = random_fill(base_short, f.num_vars, random.Random(f"{seed}:{trial}:short"))
+            cand_rand = random_fill({}, f.num_vars, random.Random(f"{seed}:{trial}:rand"))
             assert rep.value >= count_satisfied(f, cand_short)
             assert rep.value >= count_satisfied(f, cand_rand)
         balanced_runs += 1

@@ -23,7 +23,8 @@ from maxcsp import (
     select_sparse_variables,
 )
 
-from helpers import planted_satisfiable_cnf, random_cnf
+from maxcsp import cnf_approx, oracle
+from helpers import best_of_trials, planted_satisfiable_cnf, random_cnf, random_fill
 
 
 def uniform_clauses(num_vars, sizes, rng):
@@ -207,14 +208,14 @@ def test_balanced_branch_beats_baselines():
     report = approx_max_cnf(f, eps, seed=11, trials=8, window_exponent=1)
     assert report.route == "balanced"
     # baseline 1: exact on all short clauses, zeros elsewhere
-    from maxcsp.cnf_approx import _project_and_solve, _random_fill
+    from maxcsp.cnf_approx import _project_and_solve
     from maxcsp.oracle import max_csp_bruteforce as backend
 
     part = clause_partition(f, Fraction(2, 5) ** 2, window_exponent=1)
     base_short = _project_and_solve(f, part.short, backend)
     for trial in range(8):
-        short_cand = _random_fill(base_short, f.num_vars, random.Random(f"11:{trial}:short"))
-        rand_cand = _random_fill({}, f.num_vars, random.Random(f"11:{trial}:rand"))
+        short_cand = random_fill(base_short, f.num_vars, random.Random(f"11:{trial}:short"))
+        rand_cand = random_fill({}, f.num_vars, random.Random(f"11:{trial}:rand"))
         assert report.value >= count_satisfied(f, short_cand)
         assert report.value >= count_satisfied(f, rand_cand)
 
@@ -272,3 +273,52 @@ def test_unbalanced_long_route():
     report = approx_max_cnf(f, "0.3", seed=1, trials=4, window_exponent=1)
     assert report.route == "unbalanced-long"
     assert count_satisfied(f, report.witness) == report.value
+
+
+CW_FAMILIES = {
+    "balanced": (balanced_test_instance, "0.4", 1),
+    "unbalanced-short": (lambda rng: random_cnf(rng, 12, 20, [1, 2, 3]), "0.3", 4),
+    "unbalanced-long": (lambda rng: random_cnf(rng, 25, 40, [15, 16]), "0.3", 1),
+}
+
+
+def spy_candidates(monkeypatch):
+    """Record the candidates of each scoring batch of approx_max_cnf."""
+    seen = []
+    draw = cnf_approx._draw_candidates
+
+    def spy(candidates, *args):
+        seen.append(candidates)
+        return draw(candidates, *args)
+
+    monkeypatch.setattr(cnf_approx, "_draw_candidates", spy)
+    return seen
+
+
+@pytest.mark.parametrize("trials", [1, 2, 32])
+@pytest.mark.parametrize("route", sorted(CW_FAMILIES))
+def test_batched_scoring_matches_per_trial_loop(monkeypatch, route, trials):
+    make, eps, window = CW_FAMILIES[route]
+    seen = spy_candidates(monkeypatch)
+    for seed in range(4):
+        f = make(random.Random(300 + seed))
+        seen.clear()
+        report = approx_max_cnf(f, eps, seed=seed, trials=trials, window_exponent=window)
+        assert report.route == route
+        assert (report.value, report.witness) == best_of_trials(f, seen[0], seed, trials)
+
+
+def test_batched_scoring_over_several_batches(monkeypatch):
+    seen = spy_candidates(monkeypatch)
+    f = balanced_test_instance(random.Random(5))
+    report = approx_max_cnf(f, "0.4", seed=2, trials=5000, window_exponent=1)
+    assert report.route == "balanced"
+    assert len(seen) >= 2
+    assert (report.value, report.witness) == best_of_trials(f, seen[0], 2, 5000)
+
+
+def test_winner_is_rechecked_against_count_satisfied(monkeypatch):
+    score = oracle._LinearForm.score
+    monkeypatch.setattr(oracle._LinearForm, "score", lambda self, x: score(self, x) + 1)
+    with pytest.raises(AssertionError, match="count_satisfied"):
+        approx_max_cnf(balanced_test_instance(), "0.4", seed=0, trials=4, window_exponent=1)

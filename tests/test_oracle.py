@@ -14,6 +14,7 @@ from maxcsp import (
     and_term,
     at_least,
     count_satisfied,
+    eval_constraint,
     majority,
     max_csp_bruteforce,
     or_clause,
@@ -241,3 +242,71 @@ def test_random_formula_infeasible_spec():
         random_formula(3, 5, {}, (1, 2), seed=0)
     with pytest.raises(MalformedInstanceError):
         random_formula(3, 5, {"OR": 0}, (1, 2), seed=0)
+
+
+def every_kind_formula(rng, n, m):
+    """Random constraints of every kind, arity 0..min(4, n), thresholds
+    0..arity+1 and both parity right-hand sides."""
+    constraints = []
+    for _ in range(m):
+        kind = rng.choice(list(Kind))
+        variables = rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
+        lits = tuple(Literal(v, bool(rng.getrandbits(1))) for v in variables)
+        if kind is Kind.PARITY:
+            constraints.append(Constraint(kind, lits, parity_rhs=rng.getrandbits(1)))
+        elif kind is Kind.THRESHOLD:
+            constraints.append(Constraint(kind, lits, threshold=rng.randint(0, len(lits) + 1)))
+        else:
+            constraints.append(Constraint(kind, lits))
+    return Formula(n, tuple(constraints))
+
+
+# (chunk bits, block bytes): one block; several blocks per chunk; several
+# chunks of one block; several chunks of several blocks
+KERNEL_LAYOUTS = [(16, 1 << 19), (16, 64), (3, 1 << 19), (4, 1)]
+
+
+def assert_kernel_matches_scalar(f, variables):
+    kernel = oracle._SatisfiedCounts(f.constraints, variables)
+    n = len(variables)
+    size = 1 << kernel.chunk_bits
+    for high in range(kernel.num_chunks):
+        counts = kernel.counts(high)
+        masks = [kernel.mask(j, high) for j in range(f.num_constraints)]
+        for i in range(size):
+            index = (high << kernel.chunk_bits) + i
+            bits = [0] * f.num_vars
+            for p, x in enumerate(variables):
+                bits[x - 1] = (index >> (n - 1 - p)) & 1
+            a = Assignment(tuple(bits))
+            assert counts[i] == count_satisfied(f, a)
+            for j, c in enumerate(f.constraints):
+                held = masks[j] if isinstance(masks[j], bool) else bool(masks[j][i])
+                assert held == eval_constraint(c, a)
+
+
+@pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
+def test_kernel_layouts_match_scalar_evaluation(monkeypatch, chunk_bits, block_bytes):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(chunk_bits * 1000 + block_bytes)
+    for trial in range(12):
+        n = rng.randint(1, 7)
+        f = every_kind_formula(rng, n, rng.randint(0, 14))
+        variables = list(range(1, n + 1))
+        assert_kernel_matches_scalar(f, variables)
+        rng.shuffle(variables)
+        assert_kernel_matches_scalar(f, variables)
+        assert_matches_naive(f)
+
+
+@pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
+def test_kernel_counts_beyond_255_rows(monkeypatch, chunk_bits, block_bytes):
+    # 300 varying rows: a block's per-position sums leave uint8
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
+    f = every_kind_formula(random.Random(31), 6, 200)
+    f = Formula(6, f.constraints + random_formula(6, 300, {"OR": 1}, (1, 3), seed=32).constraints)
+    assert_kernel_matches_scalar(f, list(range(1, 7)))
+    assert_matches_naive(f)
+    assert max_csp_bruteforce(f).value > 255
