@@ -22,6 +22,7 @@ from .model import (
 DEFAULT_VAR_LIMIT = 26
 _CHUNK_BITS = 16
 _BLOCK_BYTES = 1 << 19
+_MIN_BLOCK_BITS = 8
 _MAX_KERNEL_VARS = 255
 
 
@@ -99,10 +100,14 @@ class _LinearForm:
         self.arity = np.array([constraints[j].arity for j, _ in rows], dtype=np.intp)
         self.starts = np.cumsum(self.arity) - self.arity
 
-    def true_counts(self, x: np.ndarray) -> np.ndarray:
-        """Each row's true literals at each column of ``x``: 0/1 values, one
-        row per variable in ``variables`` order."""
-        return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
+    def true_counts(self, x: np.ndarray, r: int | None = None) -> np.ndarray:
+        """Each row's true literals, or row ``r``'s alone as one row, at each
+        column of ``x``: 0/1 values, one row per variable in ``variables``
+        order."""
+        if r is None:
+            return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
+        lits = slice(self.starts[r], self.starts[r] + self.arity[r])
+        return np.add.reduce(x[self.cols[lits]] ^ self.neg[lits], axis=0, dtype=np.int32, keepdims=True)
 
     def count_held(self, counts: np.ndarray, need: np.ndarray, held: np.ndarray) -> np.ndarray:
         """Rows held at each column: count at least need in the first
@@ -133,10 +138,14 @@ class _SatisfiedCounts:
     in blocks of 2^b.  Index bits below b repeat in every block: a ``uint8``
     matrix built once holds each row's true literals on them (mod 2 for
     PARITY) at every position of a block, and b is the largest that keeps
-    it within ``_BLOCK_BYTES``.  Bits from b up are constant within a block,
+    it within ``_BLOCK_BYTES``, but at least ``_MIN_BLOCK_BITS``: shorter
+    blocks cost more in per-block overhead than they save, so past
+    ``_BLOCK_BYTES`` >> ``_MIN_BLOCK_BITS`` rows the matrix grows with the
+    rows instead.  Bits from b up are constant within a block,
     so they only lower each row's need; one comparison per kind of row and
-    one sum score a whole block.  The needs are held in ``uint8``, so n must
-    be at most 255.
+    one sum score a whole block.  The needs are built for a slice of blocks
+    at a time, as many as keep that work within ``_BLOCK_BYTES`` too.  They
+    are held in ``uint8``, so n must be at most 255.
     """
 
     def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
@@ -146,7 +155,7 @@ class _SatisfiedCounts:
         form = self._form = _LinearForm(constraints, variables)
         rows = len(form.target)
         budget_bits = (_BLOCK_BYTES // max(rows, 1)).bit_length() - 1
-        self._block_bits = b = min(self.chunk_bits, max(0, budget_bits))
+        self._block_bits = b = min(self.chunk_bits, max(_MIN_BLOCK_BITS, budget_bits))
         self._shift = np.arange(n - 1, -1, -1)[:, None]
         # true_at[v, r, p] is 1 when row r has a literal on variables[p] that
         # holds when that variable is v
@@ -163,40 +172,46 @@ class _SatisfiedCounts:
         low[form.num_geq:] &= 1
         self._low_counts = low
         self._held = np.empty(low.shape, dtype=bool)
-        self._last_needs: tuple[int, np.ndarray | None] = (-1, None)  # (chunk, needs)
+        self._parity = np.arange(rows)[:, None] >= form.num_geq
+        # blocks per slice: a block's needs take about 9 bytes per variable
+        # (its first assignment) and 24 per literal (the gather, its XOR and
+        # the int32 arithmetic of the rows)
+        self._slice = max(1, _BLOCK_BYTES // (9 * n + 24 * len(form.cols) + 1))
 
     @staticmethod
     def one_chunk(num_vars: int) -> bool:
         """Whether the assignments of ``num_vars`` variables fit one chunk."""
         return num_vars <= _CHUNK_BITS
 
-    def _needs(self, high: int) -> np.ndarray:
-        """Each row's need (rows) in each block of chunk ``high`` (columns):
-        its target less its true literals on the block's bits from b up, at
-        least 0, or mod 2 for a PARITY row.  The last chunk's needs are kept,
-        as ``mask`` asks for one chunk constraint by constraint."""
-        if self._last_needs[0] != high:
-            b = self._block_bits
-            blocks = np.arange(1 << (self.chunk_bits - b)) + (high << (self.chunk_bits - b))
-            # the assignment at each block's first index, one column per block
-            x = (((blocks << b) >> self._shift) & 1).astype(np.uint8)
-            form = self._form
-            need = form.target - form.true_counts(x) + self._low_at_0
-            k = form.num_geq
-            need[k:] &= 1
-            np.maximum(need[:k], 0, out=need[:k])
-            self._last_needs = (high, need.astype(np.uint8))
-        return self._last_needs[1]
+    def _slices(self, high: int):
+        """The blocks of chunk ``high`` in slices: (first position in the
+        chunk, global block numbers)."""
+        per_chunk = 1 << (self.chunk_bits - self._block_bits)
+        for lo in range(0, per_chunk, self._slice):
+            hi = min(lo + self._slice, per_chunk)
+            yield lo << self._block_bits, np.arange(lo, hi) + high * per_chunk
+
+    def _needs(self, blocks: np.ndarray, r: int | None = None) -> np.ndarray:
+        """Each row's need, or row ``r``'s alone, in each of ``blocks``
+        (columns): its target less its true literals on the block's bits
+        from b up, at least 0, or mod 2 for a PARITY row."""
+        form = self._form
+        # the assignment at each block's first index, one column per block
+        x = (((blocks << self._block_bits) >> self._shift) & 1).astype(np.uint8)
+        rows = slice(None) if r is None else slice(r, r + 1)
+        need = form.target[rows] - form.true_counts(x, r) + self._low_at_0[rows]
+        return np.where(self._parity[rows], need & 1, np.maximum(need, 0)).astype(np.uint8)
 
     def counts(self, high: int) -> np.ndarray:
         """Satisfied count of each assignment of chunk ``high``, in a new array."""
-        need = self._needs(high)
         size = 1 << self._block_bits
         counts = np.empty(1 << self.chunk_bits, dtype=np.int32)
-        for i in range(need.shape[1]):
-            counts[i * size:(i + 1) * size] = self._form.count_held(
-                self._low_counts, need[:, i:i + 1], self._held
-            )
+        for start, blocks in self._slices(high):
+            need = self._needs(blocks)
+            for i in range(len(blocks)):
+                counts[start + i * size:start + (i + 1) * size] = self._form.count_held(
+                    self._low_counts, need[:, i:i + 1], self._held
+                )
         counts += self._form.always
         return counts
 
@@ -208,7 +223,12 @@ class _SatisfiedCounts:
             return form.const[j]
         r = form.row_of[j]
         held = np.greater_equal if r < form.num_geq else np.equal
-        return held(self._low_counts[r], self._needs(high)[r][:, None]).ravel()
+        size = 1 << self._block_bits
+        out = np.empty(1 << self.chunk_bits, dtype=bool)
+        for start, blocks in self._slices(high):
+            view = out[start:start + len(blocks) * size].reshape(len(blocks), size)
+            held(self._low_counts[r], self._needs(blocks, r).T, out=view)
+        return out
 
 
 def parity_gauss_satisfiable(f: Formula) -> tuple[bool, Assignment | None]:

@@ -262,8 +262,15 @@ def every_kind_formula(rng, n, m):
 
 
 # (chunk bits, block bytes): one block; several blocks per chunk; several
-# chunks of one block; several chunks of several blocks
+# chunks of one block; several chunks of several blocks.  Each layout lets
+# blocks shrink to one position.
 KERNEL_LAYOUTS = [(16, 1 << 19), (16, 64), (3, 1 << 19), (4, 1)]
+
+
+def set_kernel_layout(monkeypatch, chunk_bits, block_bytes):
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(oracle, "_MIN_BLOCK_BITS", 0)
 
 
 def assert_kernel_matches_scalar(f, variables):
@@ -287,8 +294,7 @@ def assert_kernel_matches_scalar(f, variables):
 
 @pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
 def test_kernel_layouts_match_scalar_evaluation(monkeypatch, chunk_bits, block_bytes):
-    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-    monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
+    set_kernel_layout(monkeypatch, chunk_bits, block_bytes)
     rng = random.Random(chunk_bits * 1000 + block_bytes)
     for trial in range(12):
         n = rng.randint(1, 7)
@@ -303,10 +309,37 @@ def test_kernel_layouts_match_scalar_evaluation(monkeypatch, chunk_bits, block_b
 @pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
 def test_kernel_counts_beyond_255_rows(monkeypatch, chunk_bits, block_bytes):
     # 300 varying rows: a block's per-position sums leave uint8
-    monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
-    monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
+    set_kernel_layout(monkeypatch, chunk_bits, block_bytes)
     f = every_kind_formula(random.Random(31), 6, 200)
     f = Formula(6, f.constraints + random_formula(6, 300, {"OR": 1}, (1, 3), seed=32).constraints)
     assert_kernel_matches_scalar(f, list(range(1, 7)))
     assert_matches_naive(f)
     assert max_csp_bruteforce(f).value > 255
+
+
+def test_kernel_needs_stay_within_block_budget(monkeypatch):
+    # 2000 rows over 16 variables: blocks are short, so a chunk has hundreds
+    # of them, and their needs must be built a bounded slice at a time.
+    budget = 1 << 18
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", budget)
+    widths = []
+    true_counts = oracle._LinearForm.true_counts
+
+    def spy(form, x, r=None):
+        widths.append(x.shape[1])
+        assert len(form.cols) * x.shape[1] <= budget
+        return true_counts(form, x, r)
+
+    monkeypatch.setattr(oracle._LinearForm, "true_counts", spy)
+    n = 16
+    f = random_formula(n, 2000, {"OR": 2, "PARITY": 1, "THRESHOLD": 1}, (1, 3), seed=44)
+    kernel = oracle._SatisfiedCounts(f.constraints, range(1, n + 1))
+    counts = kernel.counts(0)
+    masks = {j: kernel.mask(j, 0) for j in range(0, f.num_constraints, 97)}
+    assert len(widths) > 1 + len(masks)
+    rng = random.Random(45)
+    for index in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(40)]:
+        a = Assignment(tuple((index >> (n - i)) & 1 for i in range(1, n + 1)))
+        assert counts[index] == count_satisfied(f, a)
+        for j, mask in masks.items():
+            assert bool(mask[index]) == eval_constraint(f.constraints[j], a)
