@@ -41,6 +41,10 @@ EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_RESOURCE = 3
 
+# Seconds of serial compare work after which the rest goes to a worker pool:
+# about what starting a 2-process pool costs (12-28 ms on a 2-vCPU VM).
+_POOL_AFTER_S = 0.02
+
 ALGORITHMS = ("oracle", "tree", "vc", "fvs-as", "cw-as", "parity-sat")
 EPSILON_ALGS = {"fvs-as", "cw-as"}
 
@@ -288,8 +292,7 @@ def _compare_task(task: tuple) -> list[tuple]:
     exact = _exact_memo(oracle_limit)
     solved = []
     # The oracle row runs first, so its time_ms holds the exact solve that
-    # the other rows reuse.  An oracle row reads the memo directly; it needs
-    # no SolveReport.
+    # the other rows reuse.
     for alg, eps_str in sorted(runs, key=lambda run: run[0] != "oracle"):
         ns = argparse.Namespace(
             alg=alg,
@@ -303,14 +306,18 @@ def _compare_task(task: tuple) -> list[tuple]:
         )
         started = time.perf_counter()
         status = "ok"
-        value: int | None = None
+        report: SolveReport | None = None
         try:
-            value = exact(f).value if alg == "oracle" else _solve_instance(f, ns, exact).value
+            report = _solve_instance(f, ns, exact)
         except PreconditionError:
             status = "error:precondition"
         except ResourceLimitError:
             status = "error:resource"
-        solved.append((alg, eps_str or "", value, status, (time.perf_counter() - started) * 1000.0))
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        if report is not None:
+            report.verify(f)
+        value = None if report is None else report.value
+        solved.append((alg, eps_str or "", value, status, elapsed_ms))
     try:
         opt: int | None = exact(f).value
     except ResourceLimitError:
@@ -346,12 +353,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         (os.path.join(args.dir, name), name, runs, args.seed, args.trials, args.oracle_limit)
         for name in files
     ]
-    if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            per_task = list(pool.map(_compare_task, tasks))
-    else:
-        per_task = [_compare_task(t) for t in tasks]
-    rows = [row for task_rows in per_task for row in task_rows]
+    # Serial first: the pool starts only once the tasks run so far have
+    # taken longer than starting it costs, and never for a single task left.
+    rows: list[tuple] = []
+    started = time.perf_counter()
+    for i, task in enumerate(tasks):
+        rows += _compare_task(task)
+        left = len(tasks) - i - 1
+        if args.workers > 1 and left > 1 and time.perf_counter() - started >= _POOL_AFTER_S:
+            with ProcessPoolExecutor(max_workers=min(args.workers, left)) as pool:
+                for task_rows in pool.map(_compare_task, tasks[i + 1 :]):
+                    rows += task_rows
+            break
     rows.sort(key=lambda r: (r[0], r[1], Fraction(r[2]) if r[2] else Fraction(-1)))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

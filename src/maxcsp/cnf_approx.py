@@ -15,6 +15,7 @@ applied to the relevant subformula projected onto its occurring variables.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,25 +103,27 @@ def clause_partition(
     sizes = [c.arity for c in f.constraints]
     max_size = max(sizes, default=0)
     cutoff = None
+    # Sizes and counts are integers, so n <= x exactly when n <= floor(x).
+    max_mass = math.floor(eps_prime * m)
     for d in range(1, max_size + 2):
-        top = ratio * d
-        mass = sum(1 for s in sizes if d <= s and Fraction(s) <= top)
-        if Fraction(mass) <= eps_prime * m:
+        top = math.floor(ratio * d)
+        if sum(1 for s in sizes if d <= s <= top) <= max_mass:
             cutoff = d
             break
     if cutoff is None:
         raise AssertionError("no cutoff found; the scan past the largest clause always succeeds")
-    top = ratio * cutoff
+    window_top = ratio * cutoff
+    top = math.floor(window_top)
     short = tuple(j for j, s in enumerate(sizes) if s < cutoff)
-    medium = tuple(j for j, s in enumerate(sizes) if cutoff <= s and Fraction(s) <= top)
-    long = tuple(j for j, s in enumerate(sizes) if Fraction(s) > top)
+    medium = tuple(j for j, s in enumerate(sizes) if cutoff <= s <= top)
+    long = tuple(j for j, s in enumerate(sizes) if s > top)
     return ClausePartition(
         formula=f,
         epsilon_prime=eps_prime,
         window_exponent=window_exponent,
         window_ratio=ratio,
         cutoff=cutoff,
-        window_top=top,
+        window_top=window_top,
         short=short,
         medium=medium,
         long=long,
@@ -129,9 +132,8 @@ def clause_partition(
 
 def is_balanced(partition: ClausePartition, epsilon) -> bool:
     """Both the short and the long side hold at least an eps/2 clause fraction."""
-    eps = parse_fraction(epsilon)
-    bound = eps / 2 * partition.num_clauses
-    return Fraction(len(partition.short)) >= bound and Fraction(len(partition.long)) >= bound
+    bound = math.ceil(parse_fraction(epsilon) / 2 * partition.num_clauses)
+    return len(partition.short) >= bound and len(partition.long) >= bound
 
 
 def select_sparse_variables(partition: ClausePartition, epsilon) -> SparseVariableSelection:
@@ -166,19 +168,24 @@ def select_sparse_variables(partition: ClausePartition, epsilon) -> SparseVariab
     chosen: list[int] = []
     chosen_set: set[int] = set()
     picked_in_clause: dict[int, int] = {j: 0 for j in partition.long}
-    stop_bound = eps * eps * m
-    qual = (eps / 4) ** 2
+    # Ratio tests in integers, with eps = num/den; a count n exceeds a
+    # rational x exactly when it exceeds floor(x).
+    num, den = eps.numerator, eps.denominator
+    stop_bound = math.floor(eps * eps * m)
+    max_picked = den // num  # floor(1/eps)
 
-    while Fraction(len(live)) > stop_bound:
-        best_var = None
-        best_ratio: Fraction | None = None
+    while len(live) > stop_bound:
+        best_var, best_short, best_occ = None, 0, 0
         for var, occ in live_occ.items():
             if var in chosen_set or not occ:
                 continue
-            ratio = Fraction(short_count.get(var, 0), len(occ))
-            if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and var < best_var):
-                best_var, best_ratio = var, ratio
-        if best_var is None or best_ratio > qual:
+            short = short_count.get(var, 0)
+            # short/len(occ) against best_short/best_occ; the smaller variable wins ties
+            lhs, rhs = short * best_occ, best_short * len(occ)
+            if best_var is None or lhs < rhs or (lhs == rhs and var < best_var):
+                best_var, best_short, best_occ = var, short, len(occ)
+        # best_short/best_occ > (eps/4)^2
+        if best_var is None or best_short * 16 * den * den > num * num * best_occ:
             raise LemmaViolationError(
                 "no sufficiently sparse variable exists; the balanced split is degenerate"
             )
@@ -188,7 +195,7 @@ def select_sparse_variables(partition: ClausePartition, epsilon) -> SparseVariab
             if j not in live:
                 continue
             picked_in_clause[j] += 1
-            if Fraction(picked_in_clause[j]) * eps > 1:
+            if picked_in_clause[j] > max_picked:
                 live.discard(j)
                 for var in clause_vars[j]:
                     occ = live_occ.get(var)
@@ -203,18 +210,18 @@ def select_sparse_variables(partition: ClausePartition, epsilon) -> SparseVariab
     sparse_long = sum(
         1
         for j in partition.long
-        if Fraction(sum(1 for v in f.constraints[j].variables if v in chosen_set)) * eps <= 1
+        if sum(1 for v in f.constraints[j].variables if v in chosen_set) <= max_picked
     )
     audit = {
         "short_clauses_touched": touched_short,
         "long_clauses_with_few_chosen": sparse_long,
         "chosen_size": len(chosen),
     }
-    if Fraction(touched_short) > eps * m / 4:
+    if touched_short > math.floor(eps * m / 4):
         raise LemmaViolationError("too many short clauses touch the chosen variables")
-    if Fraction(sparse_long) > eps * eps * m:
+    if sparse_long > stop_bound:
         raise LemmaViolationError("too many long clauses contain few chosen variables")
-    if Fraction(len(chosen)) * eps > m:
+    if len(chosen) > math.floor(m / eps):
         raise LemmaViolationError("chosen variable set is larger than m/eps")
     return SparseVariableSelection(tuple(chosen), tuple(sorted(live)), audit)
 

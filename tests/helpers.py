@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from maxcsp import (
     Assignment,
@@ -469,6 +470,91 @@ def best_of_trials(
             if value > best_value:
                 best_value, best_witness = value, candidate
     return best_value, best_witness
+
+
+def fraction_clause_split(f: Formula, eps_prime: Fraction, window_exponent: int):
+    """``cnf_approx.clause_partition``'s scan with every size test a
+    ``Fraction`` comparison: (cutoff, short, medium, long)."""
+    ratio = eps_prime ** (-window_exponent)
+    sizes = [c.arity for c in f.constraints]
+    for d in range(1, max(sizes, default=0) + 2):
+        mass = sum(1 for s in sizes if d <= s and Fraction(s) <= ratio * d)
+        if Fraction(mass) <= eps_prime * f.num_constraints:
+            break
+    top = ratio * d
+    return (
+        d,
+        tuple(j for j, s in enumerate(sizes) if s < d),
+        tuple(j for j, s in enumerate(sizes) if d <= s and Fraction(s) <= top),
+        tuple(j for j, s in enumerate(sizes) if Fraction(s) > top),
+    )
+
+
+def fraction_select_sparse_variables(partition, eps: Fraction):
+    """``cnf_approx.select_sparse_variables`` with every ratio test a
+    ``Fraction`` comparison, as one plain greedy loop; returns
+    (variables, remaining_long, audit) and raises where it raises."""
+    from maxcsp import LemmaViolationError, PreconditionError
+
+    if not 0 < eps < 1:
+        raise PreconditionError(f"epsilon must be in (0, 1), got {eps}")
+    f, m = partition.formula, partition.num_clauses
+    bound = eps / 2 * m
+    if not (Fraction(len(partition.short)) >= bound and Fraction(len(partition.long)) >= bound):
+        raise PreconditionError("selection requires a balanced short/long split")
+    short_count: dict[int, int] = {}
+    for j in partition.short:
+        for var in f.constraints[j].variables:
+            short_count[var] = short_count.get(var, 0) + 1
+    live: set[int] = set(partition.long)
+    live_occ: dict[int, set[int]] = {}
+    for j in partition.long:
+        for var in f.constraints[j].variables:
+            live_occ.setdefault(var, set()).add(j)
+    chosen: list[int] = []
+    picked_in_clause = {j: 0 for j in partition.long}
+    while Fraction(len(live)) > eps * eps * m:
+        best_var, best_ratio = None, None
+        for var, occ in live_occ.items():
+            if var in chosen or not occ:
+                continue
+            ratio = Fraction(short_count.get(var, 0), len(occ))
+            if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and var < best_var):
+                best_var, best_ratio = var, ratio
+        if best_var is None or best_ratio > (eps / 4) ** 2:
+            raise LemmaViolationError(
+                "no sufficiently sparse variable exists; the balanced split is degenerate"
+            )
+        chosen.append(best_var)
+        for j in sorted(live_occ[best_var]):
+            if j not in live:
+                continue
+            picked_in_clause[j] += 1
+            if Fraction(picked_in_clause[j]) * eps > 1:
+                live.discard(j)
+                for var in f.constraints[j].variables:
+                    if var in live_occ:
+                        live_occ[var].discard(j)
+    touched_short = sum(
+        1 for j in partition.short if any(v in chosen for v in f.constraints[j].variables)
+    )
+    sparse_long = sum(
+        1
+        for j in partition.long
+        if Fraction(sum(1 for v in f.constraints[j].variables if v in chosen)) * eps <= 1
+    )
+    audit = {
+        "short_clauses_touched": touched_short,
+        "long_clauses_with_few_chosen": sparse_long,
+        "chosen_size": len(chosen),
+    }
+    if Fraction(touched_short) > eps * m / 4:
+        raise LemmaViolationError("too many short clauses touch the chosen variables")
+    if Fraction(sparse_long) > eps * eps * m:
+        raise LemmaViolationError("too many long clauses contain few chosen variables")
+    if Fraction(len(chosen)) * eps > m:
+        raise LemmaViolationError("chosen variable set is larger than m/eps")
+    return tuple(chosen), tuple(sorted(live)), audit
 
 
 def planted_satisfiable_cnf(

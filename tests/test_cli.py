@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from maxcsp import Formula, Kind, at_least, or_clause, parity, parse_instance, serialize_instance
+from maxcsp import cli
 from maxcsp.cli import main
 
 FOREST = "p mcsp 2 3\nt 1 1 2 0\nt 1 -1 0\nt 1 -2 0\n"
@@ -164,7 +165,7 @@ def test_generate_conversions(tmp_path, capsys):
     assert code == 0
 
 
-def test_compare_deterministic_with_workers(tmp_path, capsys):
+def test_compare_deterministic_with_workers(tmp_path, capsys, monkeypatch):
     from fractions import Fraction
     import random as random_mod
 
@@ -177,6 +178,7 @@ def test_compare_deterministic_with_workers(tmp_path, capsys):
     for i in range(3):
         f, _ = random_small_fvs_instance(rng, max_vars=8, max_cons=6, hubs=2)
         write(tmp_path, f"cyc{i}.mcsp", serialize_instance(f))
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # the pool runs all but the first file
     args = [
         "compare", "--algs", "oracle,tree,fvs-as", "--epsilons", "0.25,0.5",
         "--dir", str(tmp_path), "--seed", "7", "--workers", "2",
@@ -204,11 +206,12 @@ def test_compare_deterministic_with_workers(tmp_path, capsys):
     assert saw_tree_error
 
 
-def test_compare_schedule_independent(tmp_path, capsys):
+def test_compare_schedule_independent(tmp_path, capsys, monkeypatch):
     import random as random_mod
 
     from helpers import random_forest_formula
 
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # the pool runs all but the first file
     rng = random_mod.Random(77)
     for i in range(5):
         f = random_forest_formula(rng, max_vars=8, max_cons=6)
@@ -225,6 +228,80 @@ def test_compare_schedule_independent(tmp_path, capsys):
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records its size and the tasks
+    it is given, and runs them in this process."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = None
+        RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.tasks = list(tasks)
+        return map(fn, self.tasks)
+
+
+def compare_dir_of_small_files(tmp_path, count):
+    texts = (FOREST, PARITY, CYCLIC)
+    for i in range(count):
+        write(tmp_path, f"f{i}.mcsp", texts[i % len(texts)])
+    return ["compare", "--algs", "oracle,tree", "--dir", str(tmp_path), "--seed", "2"]
+
+
+def test_compare_small_dir_starts_no_pool(tmp_path, capsys, monkeypatch):
+    args = compare_dir_of_small_files(tmp_path, 3)
+    assert main(args + ["--workers", "1", "-o", str(tmp_path / "serial.csv")]) == 0
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(args + ["--workers", "2", "-o", str(tmp_path / "two.csv")]) == 0
+    assert RecordingPool.made == []
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
+def test_compare_pool_gets_the_files_after_the_first(tmp_path, capsys, monkeypatch, workers, pool_size):
+    args = compare_dir_of_small_files(tmp_path, 4)
+    assert main(args + ["--workers", "1", "-o", str(tmp_path / "serial.csv")]) == 0
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+    out = tmp_path / "pool.csv"
+    assert main(args + ["--workers", str(workers), "-o", str(out)]) == 0
+    [pool] = RecordingPool.made
+    assert pool.max_workers == pool_size
+    assert [task[1] for task in pool.tasks] == ["f1.mcsp", "f2.mcsp", "f3.mcsp"]
+    assert out.read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("alg", ["oracle", "tree"])
+def test_compare_rechecks_each_value_against_its_witness(tmp_path, capsys, monkeypatch, alg):
+    from maxcsp import oracle
+
+    solver = oracle if alg == "oracle" else cli
+    name = "max_csp_bruteforce" if alg == "oracle" else "solve_forest"
+    real = getattr(solver, name)
+
+    def one_too_many(f, *args, **kwargs):
+        res = real(f, *args, **kwargs)
+        return oracle.OracleResult(res.value + 1, res.witness)
+
+    monkeypatch.setattr(solver, name, one_too_many)
+    write(tmp_path, "a.mcsp", FOREST)
+    out = tmp_path / "out.csv"
+    with pytest.raises(AssertionError, match="does not match its witness"):
+        main(["compare", "--algs", alg, "--dir", str(tmp_path), "--workers", "1", "-o", str(out)])
+    assert not out.exists()
 
 
 def test_compare_empty_dir(tmp_path, capsys):
@@ -297,7 +374,8 @@ def test_solve_oracle_with_oracle_runs_the_oracle_once(tmp_path, capsys, monkeyp
     assert payload["value"] == payload["oracle_value"] == 2 and payload["ratio"] == "1/1"
 
 
-def test_compare_bad_file_fails_only_its_rows(tmp_path, capsys):
+def test_compare_bad_file_fails_only_its_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # the pool runs all but the first file
     good = tmp_path / "good"
     good.mkdir()
     write(good, "a.mcsp", FOREST)

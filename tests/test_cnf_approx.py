@@ -10,6 +10,7 @@ from maxcsp import (
     ContractViolationError,
     Formula,
     Kind,
+    LemmaViolationError,
     Literal,
     PreconditionError,
     ResourceLimitError,
@@ -20,11 +21,19 @@ from maxcsp import (
     is_balanced,
     max_csp_bruteforce,
     or_clause,
+    random_formula,
     select_sparse_variables,
 )
 
 from maxcsp import cnf_approx, oracle
-from helpers import best_of_trials, planted_satisfiable_cnf, random_cnf, random_fill
+from helpers import (
+    best_of_trials,
+    fraction_clause_split,
+    fraction_select_sparse_variables,
+    planted_satisfiable_cnf,
+    random_cnf,
+    random_fill,
+)
 
 
 def uniform_clauses(num_vars, sizes, rng):
@@ -322,3 +331,87 @@ def test_winner_is_rechecked_against_count_satisfied(monkeypatch):
     monkeypatch.setattr(oracle._LinearForm, "score", lambda self, x: score(self, x) + 1)
     with pytest.raises(AssertionError, match="count_satisfied"):
         approx_max_cnf(balanced_test_instance(), "0.4", seed=0, trials=4, window_exponent=1)
+
+
+def selection_outcome(select, partition, eps):
+    try:
+        return select(partition, eps)
+    except (PreconditionError, LemmaViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def benchmark_shaped_cnfs():
+    """10 unit clauses and 10 arity-20 clauses over n = 40 ... 120 variables."""
+    for n in (40, 60, 80, 100, 120):
+        for seed in range(2):
+            units = random_formula(n, 10, {"OR": 1}, (1, 1), seed=2 * seed)
+            longs = random_formula(n, 10, {"OR": 1}, (20, 20), seed=2 * seed + 1)
+            yield Formula(n, units.constraints + longs.constraints)
+
+
+def random_balanced_cnfs():
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(20, 60)
+        short = random_cnf(rng, n, rng.randint(4, 16), [1, 2])
+        long = random_cnf(rng, n, rng.randint(4, 16), [10, 15, 20])
+        yield Formula(n, short.constraints + long.constraints)
+
+
+def degenerate_cnfs():
+    """Every variable of the long side also sits in a unit clause, so no
+    variable is sparse and the selection raises."""
+    rng = random.Random(3)
+    for longs in (2, 4, 6):
+        clauses = [or_clause(v) for v in range(1, 10)]
+        for _ in range(longs):
+            clauses.append(
+                Constraint(Kind.OR, tuple(Literal(v, bool(rng.getrandbits(1))) for v in range(1, 10)))
+            )
+        yield Formula(9, tuple(clauses))
+
+
+def boundary_cnf():
+    """22 unit clauses and 64 clauses over all 22 variables: at eps = 1/2
+    every variable's ratio is 1/64, exactly the (eps/4)^2 bound, which the
+    selection accepts."""
+    rng = random.Random(5)
+    clauses = [or_clause(v) for v in range(1, 23)]
+    for _ in range(64):
+        clauses.append(
+            Constraint(Kind.OR, tuple(Literal(v, bool(rng.getrandbits(1))) for v in range(1, 23)))
+        )
+    yield Formula(22, tuple(clauses))
+
+
+def test_integer_selection_matches_fraction_reference():
+    kinds = {}
+    for family, formulas in (
+        ("benchmark", benchmark_shaped_cnfs()),
+        ("random", random_balanced_cnfs()),
+        ("degenerate", degenerate_cnfs()),
+        ("boundary", boundary_cnf()),
+    ):
+        for f in formulas:
+            for eps in (Fraction(1, 5), Fraction(3, 10), Fraction(2, 5), Fraction(1, 2)):
+                # the pipeline's split, and splits that are balanced more often
+                for eps_prime, window_exponent in ((eps * eps, 1), (Fraction(1, 4), 1), (Fraction(1, 9), 0)):
+                    part = clause_partition(f, eps_prime, window_exponent)
+                    assert (part.cutoff, part.short, part.medium, part.long) == fraction_clause_split(
+                        f, eps_prime, window_exponent
+                    )
+                    got = selection_outcome(select_sparse_variables, part, eps)
+                    if isinstance(got, cnf_approx.SparseVariableSelection):
+                        got = (got.variables, got.remaining_long, got.audit)
+                    assert got == selection_outcome(fraction_select_sparse_variables, part, eps)
+                    kind = got[0].__name__ if isinstance(got[0], type) else "selected"
+                    kinds.setdefault(family, set()).add(kind)
+    assert kinds == {
+        "benchmark": {"selected", "PreconditionError"},
+        "random": {"selected", "PreconditionError", "LemmaViolationError"},
+        "degenerate": {"PreconditionError", "LemmaViolationError"},
+        "boundary": {"selected", "PreconditionError", "LemmaViolationError"},
+    }
+    # eps = 1/2 on the split approx_max_cnf makes with window exponent 1
+    part = clause_partition(next(boundary_cnf()), Fraction(1, 4), 1)
+    assert select_sparse_variables(part, Fraction(1, 2)).variables == (1, 2, 3)
