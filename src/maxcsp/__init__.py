@@ -47,8 +47,8 @@ from .oracle import (
     random_formula,
 )
 from .forest_solver import half_guarantee_value, peel_forest, solve_forest
-from .cover_solver import all_constraints_cover, residual_exact_max, solve_via_vertex_cover
-from .fvs_solver import FvsPlan, approx_via_fvs, plan_route
+from .cover_solver import residual_exact_max, solve_via_vertex_cover
+from .fvs_solver import approx_via_fvs, plan_route
 from .cnf_approx import (
     ClausePartition,
     SparseVariableSelection,

@@ -34,7 +34,7 @@ from .formats import (
 from .forest_solver import solve_forest
 from .graphs import build_incidence_graph
 from .model import Formula, Kind, as_threshold_formula
-from .report import SolveReport, fraction_str, make_report, parse_fraction
+from .report import SolveReport, fraction_str, parse_fraction
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -138,16 +138,17 @@ def _exact_memo(var_limit: int) -> cnf_approx.ExactBackend:
 def _solve_instance(
     f: Formula, args: argparse.Namespace, exact: cnf_approx.ExactBackend
 ) -> SolveReport:
+    """Run ``args.alg`` on ``f`` and build its report; the one place a
+    report is built, for ``solve`` and ``compare`` alike."""
     alg = args.alg
     if alg in EPSILON_ALGS and args.epsilon is None:
         raise PreconditionError(f"--epsilon is required for {alg}")
+    satisfiable = None
     if alg == "oracle":
         res = exact(f)
-        return make_report("oracle", f, res.value, res.witness)
-    if alg == "tree":
+    elif alg == "tree":
         res = solve_forest(f)
-        return make_report("tree", f, res.value, res.witness)
-    if alg == "vc":
+    elif alg == "vc":
         inc = build_incidence_graph(f)
         cover = structure.vertex_cover_number(inc.graph, args.max_vc)
         if cover.exceeded:
@@ -155,11 +156,10 @@ def _solve_instance(
                 f"no incidence vertex cover within budget {args.max_vc}; raise --max-vc"
             )
         res = cover_solver.solve_via_vertex_cover(f, inc.split(cover.witness))
-        return make_report("vc", f, res.value, res.witness)
-    if alg == "fvs-as":
-        return fvs_solver.solve_with_fvs_search(f, args.epsilon, args.max_fvs)
-    if alg == "cw-as":
-        return cnf_approx.approx_max_cnf(
+    elif alg == "fvs-as":
+        res = fvs_solver.solve_with_fvs_search(f, args.epsilon, args.max_fvs)
+    elif alg == "cw-as":
+        res = cnf_approx.approx_max_cnf(
             f,
             args.epsilon,
             seed=args.seed,
@@ -168,14 +168,24 @@ def _solve_instance(
             exact_backend=exact,
             backend_var_limit=args.oracle_limit,
         )
-    if alg == "parity-sat":
+    elif alg == "parity-sat":
         if any(c.kind is not Kind.PARITY for c in f.constraints):
             raise PreconditionError("parity-sat requires a pure PARITY instance")
-        sat, witness = oracle.parity_gauss_satisfiable(f)
-        value = f.num_constraints if sat else 0
-        report = make_report("parity-sat", f, value, witness, satisfiable=sat)
-        return report
-    raise PreconditionError(f"unknown algorithm {alg!r}")
+        satisfiable, witness = oracle.parity_gauss_satisfiable(f)
+        res = oracle.OracleResult(f.num_constraints if satisfiable else 0, witness)
+    else:
+        raise PreconditionError(f"unknown algorithm {alg!r}")
+    # epsilon is parsed only now, so the solver's own checks set the exit code
+    return SolveReport(
+        algorithm=alg,
+        value=res.value,
+        witness=res.witness,
+        epsilon=parse_fraction(args.epsilon) if alg in EPSILON_ALGS else None,
+        seed=args.seed if alg == "cw-as" else None,
+        trials=args.trials if alg == "cw-as" else None,
+        route=res.route,
+        satisfiable=satisfiable,
+    )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -194,7 +204,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             report.oracle_value = None
     report.verify(f)
     if args.json:
-        print(report.to_json(include_timing=args.timing))
+        payload = {**report.to_json_dict(args.timing), "instance_digest": instance_digest(f)}
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         line = f"algorithm={report.algorithm} value={report.value}"
         if report.satisfiable is not None:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .model import Assignment, Constraint, Formula, Kind, Literal, count_satisfied
 from .oracle import DEFAULT_VAR_LIMIT, OracleResult, _LinearForm, max_csp_bruteforce
-from .report import SolveReport, make_report, parse_fraction
+from .report import parse_fraction
 
 DEFAULT_TRIALS = 32
 DEFAULT_WINDOW_EXPONENT = 4
@@ -46,17 +46,13 @@ ExactBackend = Callable[[Formula], OracleResult]
 class ClausePartition:
     """Three-way split of a CNF by clause size.
 
-    ``cutoff`` is the smallest d >= 1 whose window [d, window_ratio * d]
-    contains at most an epsilon_prime fraction of all clauses; short means
-    size < d, long means size > window_top.
+    ``cutoff`` is the smallest d >= 1 whose window [d, r * d], with
+    r = epsilon_prime ** -window_exponent, contains at most an epsilon_prime
+    fraction of all clauses; short means size < d, long means size > r * d.
     """
 
     formula: Formula
-    epsilon_prime: Fraction
-    window_exponent: int
-    window_ratio: Fraction
     cutoff: int
-    window_top: Fraction
     short: tuple[int, ...]
     medium: tuple[int, ...]
     long: tuple[int, ...]
@@ -112,22 +108,11 @@ def clause_partition(
             break
     if cutoff is None:
         raise AssertionError("no cutoff found; the scan past the largest clause always succeeds")
-    window_top = ratio * cutoff
-    top = math.floor(window_top)
+    top = math.floor(ratio * cutoff)
     short = tuple(j for j, s in enumerate(sizes) if s < cutoff)
     medium = tuple(j for j, s in enumerate(sizes) if cutoff <= s <= top)
     long = tuple(j for j, s in enumerate(sizes) if s > top)
-    return ClausePartition(
-        formula=f,
-        epsilon_prime=eps_prime,
-        window_exponent=window_exponent,
-        window_ratio=ratio,
-        cutoff=cutoff,
-        window_top=window_top,
-        short=short,
-        medium=medium,
-        long=long,
-    )
+    return ClausePartition(formula=f, cutoff=cutoff, short=short, medium=medium, long=long)
 
 
 def is_balanced(partition: ClausePartition, epsilon) -> bool:
@@ -277,8 +262,9 @@ def approx_max_cnf(
     window_exponent: int = DEFAULT_WINDOW_EXPONENT,
     exact_backend: ExactBackend | None = None,
     backend_var_limit: int = DEFAULT_VAR_LIMIT,
-) -> SolveReport:
-    """Best-of-trials randomized (1 - eps)-approximation for MAX-CNF.
+) -> OracleResult:
+    """Best-of-trials randomized (1 - eps)-approximation for MAX-CNF; the
+    result carries the route taken.
 
     The expectation guarantee requires eps < 1/8 and the default window
     exponent; larger eps values are accepted and simply run the same
@@ -365,13 +351,4 @@ def approx_max_cnf(
     best_witness = Assignment(tuple(best_bits.tolist()))
     if count_satisfied(f, best_witness) != best_value:
         raise AssertionError("batched score of the winning candidate differs from count_satisfied")
-    return make_report(
-        "cw-as",
-        f,
-        best_value,
-        best_witness,
-        epsilon=eps,
-        seed=seed,
-        trials=trials,
-        route=route,
-    )
+    return OracleResult(best_value, best_witness, route)

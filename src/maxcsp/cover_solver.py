@@ -281,8 +281,3 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     if best_witness is None:
         raise AssertionError("no cover assignment scored")
     return OracleResult(best_value, best_witness)
-
-
-def all_constraints_cover(f: Formula) -> VertexSplit:
-    """The always-valid cover consisting of every constraint vertex."""
-    return VertexSplit(frozenset(), frozenset(range(f.num_constraints)))

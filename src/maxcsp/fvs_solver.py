@@ -2,7 +2,7 @@
 feedback vertex set.
 
 With a feedback vertex set F of size k, either the instance is small enough
-(m at most (1 + 2/eps) * k) to solve exactly through the cover solver, or we
+(m at most (1 + 2/eps) * k) to solve exactly with the residual solver, or we
 guess the assignment of F's variable vertices, delete F's constraint
 vertices, solve the acyclic residual exactly with the forest solver, and keep
 the best candidate evaluated on the original formula.  The best candidate
@@ -11,33 +11,20 @@ satisfies at least (1 - eps) * OPT constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .cover_solver import all_constraints_cover, solve_via_vertex_cover
+from .cover_solver import residual_exact_max
 from .errors import ContractViolationError, MalformedInstanceError, PreconditionError, ResourceLimitError
 from .forest_solver import solve_forest
 from .graphs import VertexSplit, build_incidence_graph, check_split_range, is_acyclic
 from .model import Assignment, Formula, Kind, as_threshold_formula, count_satisfied, simplify_fix_variable
-from .report import SolveReport, make_report, parse_fraction
+from .oracle import OracleResult
+from .report import parse_fraction
 from .structure import feedback_vertex_set, fvs_bounds
 
 ROUTE_EXACT_SMALL = "exact-small"
 ROUTE_APPROX = "approx"
-
-
-@dataclass(frozen=True)
-class FvsPlan:
-    """A verified feedback vertex set together with the chosen solve route."""
-
-    fvs: VertexSplit
-    epsilon: Fraction
-    route: str
-
-    @property
-    def size(self) -> int:
-        return self.fvs.size
 
 
 def verify_feedback_vertex_set(f: Formula, fvs: VertexSplit) -> None:
@@ -47,20 +34,19 @@ def verify_feedback_vertex_set(f: Formula, fvs: VertexSplit) -> None:
         raise PreconditionError("deleting the given vertices does not leave a forest")
 
 
-def plan_route(f: Formula, fvs: VertexSplit, epsilon) -> FvsPlan:
+def plan_route(f: Formula, fvs: VertexSplit, epsilon) -> str:
     """Route selection with exact rational arithmetic on the threshold."""
     eps = parse_fraction(epsilon)
     if not 0 < eps < 1:
         raise PreconditionError(f"epsilon must be in (0, 1), got {eps}")
-    small = _is_small(f.num_constraints, fvs.size, eps)
-    return FvsPlan(fvs, eps, ROUTE_EXACT_SMALL if small else ROUTE_APPROX)
+    return ROUTE_EXACT_SMALL if _is_small(f.num_constraints, fvs.size, eps) else ROUTE_APPROX
 
 
 def _is_small(m: int, k: int, eps: Fraction) -> bool:
     return Fraction(m) <= (1 + Fraction(2) / eps) * k
 
 
-def solve_with_fvs_search(f: Formula, epsilon, max_fvs: int) -> SolveReport:
+def solve_with_fvs_search(f: Formula, epsilon, max_fvs: int) -> OracleResult:
     """``approx_via_fvs`` with a minimum incidence FVS of at most ``max_fvs``.
 
     When the FVS lower bound alone selects the exact-small route, so does
@@ -88,11 +74,12 @@ def solve_with_fvs_search(f: Formula, epsilon, max_fvs: int) -> SolveReport:
     return approx_via_fvs(f, inc.split(witness), epsilon)
 
 
-def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> SolveReport:
-    """(1 - eps)-approximate MAX-THRESHOLD given a verified feedback vertex set.
+def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> OracleResult:
+    """(1 - eps)-approximate MAX-THRESHOLD given a verified feedback vertex set;
+    the result carries the route taken.
 
     The exact-small route reads only |F|, so every FVS that selects it
-    gives the same report.
+    gives the same result.
     """
     if any(c.kind is Kind.PARITY for c in f.constraints):
         raise PreconditionError("feedback-vertex-set scheme handles only threshold-style constraints")
@@ -101,44 +88,34 @@ def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> SolveReport:
     except ContractViolationError as exc:
         raise PreconditionError(str(exc)) from exc
     verify_feedback_vertex_set(thr, fvs)
-    plan = plan_route(thr, fvs, epsilon)
+    route = plan_route(thr, fvs, epsilon)
 
-    if plan.route == ROUTE_EXACT_SMALL:
-        res = solve_via_vertex_cover(thr, all_constraints_cover(thr))
-        value, witness = res.value, res.witness
-    else:
-        guess_vars = sorted(fvs.variables)
-        kept = [j for j in range(thr.num_constraints) if j not in fvs.constraints]
-        best_value = -1
-        best_witness: Assignment | None = None
-        for sigma in product((0, 1), repeat=len(guess_vars)):
-            residual = thr
-            for x, v in zip(guess_vars, sigma):
-                residual, removed = simplify_fix_variable(residual, x, v)
-                if removed:
-                    raise AssertionError("threshold simplification must not drop constraints")
-            residual = Formula(thr.num_vars, tuple(residual.constraints[j] for j in kept))
-            tree = solve_forest(residual)
-            candidate = tree.witness
-            for x, v in zip(guess_vars, sigma):
-                candidate = candidate.replace(x, v)
-            # Deleted constraints can be satisfied incidentally, so score the
-            # candidate on the original formula.
-            value = count_satisfied(thr, candidate)
-            if value < tree.value:
-                raise AssertionError("original evaluation lost residual constraints")
-            if value > best_value:
-                best_value = value
-                best_witness = candidate
-        value, witness = best_value, best_witness
-
-    if witness is None:
+    if route == ROUTE_EXACT_SMALL:
+        res = residual_exact_max(thr)
+        return OracleResult(res.value, res.witness, route)
+    guess_vars = sorted(fvs.variables)
+    kept = [j for j in range(thr.num_constraints) if j not in fvs.constraints]
+    best_value = -1
+    best_witness: Assignment | None = None
+    for sigma in product((0, 1), repeat=len(guess_vars)):
+        residual = thr
+        for x, v in zip(guess_vars, sigma):
+            residual, removed = simplify_fix_variable(residual, x, v)
+            if removed:
+                raise AssertionError("threshold simplification must not drop constraints")
+        residual = Formula(thr.num_vars, tuple(residual.constraints[j] for j in kept))
+        tree = solve_forest(residual)
+        candidate = tree.witness
+        for x, v in zip(guess_vars, sigma):
+            candidate = candidate.replace(x, v)
+        # Deleted constraints can be satisfied incidentally, so score the
+        # candidate on the original formula.
+        value = count_satisfied(thr, candidate)
+        if value < tree.value:
+            raise AssertionError("original evaluation lost residual constraints")
+        if value > best_value:
+            best_value = value
+            best_witness = candidate
+    if best_witness is None:
         raise AssertionError("no forest guess scored")
-    return make_report(
-        "fvs-as",
-        f,
-        value,
-        witness,
-        epsilon=plan.epsilon,
-        route=plan.route,
-    )
+    return OracleResult(best_value, best_witness, route)

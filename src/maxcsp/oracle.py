@@ -28,8 +28,12 @@ _MAX_KERNEL_VARS = 255
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A solver's optimum or best value, an assignment reaching it, and the
+    route the solver took when it has more than one."""
+
     value: int
     witness: Assignment
+    route: str | None = None
 
 
 def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> OracleResult:
@@ -292,6 +296,10 @@ def random_formula(
     uniform, thresholds are uniform in [1, arity], parity right-hand sides
     are uniform bits.
     """
+    if num_vars < 0 or num_constraints < 0:
+        raise MalformedInstanceError(
+            f"negative count: {num_vars} variables, {num_constraints} constraints"
+        )
     lo, hi = arity_range
     if not 0 <= lo <= hi:
         raise MalformedInstanceError(f"invalid arity range {arity_range}")

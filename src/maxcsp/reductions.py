@@ -80,6 +80,8 @@ def edgeless_mcc(parts: int, part_size: int) -> MccGraph:
 
 
 def random_mcc(parts: int, part_size: int, edge_prob: float, seed: int) -> MccGraph:
+    if not 0 <= edge_prob <= 1:
+        raise MalformedInstanceError(f"edge probability must be in [0, 1], got {edge_prob}")
     rng = random.Random(seed)
     edges = set()
     for i in range(1, parts + 1):

@@ -1,4 +1,4 @@
-"""Solve reports and their JSON form.
+"""Solve reports, which the CLI builds from a solver's result, and their JSON form.
 
 Rationals are emitted as exact ``p/q`` strings so reports are diff-able and
 byte-stable.  Wall time is excluded from the JSON unless explicitly asked
@@ -7,13 +7,11 @@ for, because report bytes must not vary between identical runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedInstanceError
 from .model import Assignment, Formula, count_satisfied
-from .formats import instance_digest
 
 
 def fraction_str(x: Fraction) -> str:
@@ -32,7 +30,6 @@ def parse_fraction(text) -> Fraction:
 @dataclass
 class SolveReport:
     algorithm: str
-    instance_digest: str
     value: int
     witness: Assignment | None
     oracle_value: int | None = None
@@ -54,7 +51,6 @@ class SolveReport:
     def to_json_dict(self, include_timing: bool = False) -> dict:
         out = {
             "algorithm": self.algorithm,
-            "instance_digest": self.instance_digest,
             "value": self.value,
             "witness": self.witness.bitstring() if self.witness is not None else None,
             "oracle_value": self.oracle_value,
@@ -68,16 +64,3 @@ class SolveReport:
         if include_timing:
             out["wall_time_ms"] = self.wall_time_ms
         return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing), indent=2, sort_keys=True)
-
-
-def make_report(algorithm: str, f: Formula, value: int, witness: Assignment | None, **kw) -> SolveReport:
-    return SolveReport(
-        algorithm=algorithm,
-        instance_digest=instance_digest(f),
-        value=value,
-        witness=witness,
-        **kw,
-    )

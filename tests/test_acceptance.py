@@ -215,7 +215,7 @@ def test_criterion_04_fvs_approx_guarantee():
             fillers = tuple(at_least(1, i + 2) for i in range(m - 1))
             f = Formula(m + 1, (at_least(1, 1, 2),) + fillers)
             split = VertexSplit(frozenset(), frozenset({0}))
-            assert plan_route(f, split, eps).route == expected
+            assert plan_route(f, split, eps) == expected
             assert approx_via_fvs(f, split, eps).route == expected
     report(
         4,

@@ -5,13 +5,27 @@ import sys
 
 import pytest
 
-from maxcsp import Formula, Kind, at_least, or_clause, parity, parse_instance, serialize_instance
+from maxcsp import (
+    Formula,
+    Kind,
+    at_least,
+    instance_digest,
+    or_clause,
+    parity,
+    parse_instance,
+    serialize_instance,
+)
 from maxcsp import cli
 from maxcsp.cli import main
 
 FOREST = "p mcsp 2 3\nt 1 1 2 0\nt 1 -1 0\nt 1 -2 0\n"
 CYCLIC = "p mcsp 2 2\nt 1 1 2 0\nt 2 1 2 0\n"
 PARITY = "p mcsp 3 3\nx 1 1 2 0\nx 1 2 3 0\nx 1 1 3 0\n"
+PARITY_SAT = "p mcsp 3 2\nx 1 1 2 0\nx 0 2 3 0\n"
+MIXED = "p mcsp 4 5\no 1 -2 0\na 2 3 0\nx 1 1 3 4 0\nt 2 -1 2 4 0\nm -3 -4 1 0\n"
+THRESHOLD_MIX = "p mcsp 4 5\no 1 -2 0\na 2 3 0\nt 2 -1 2 4 0\nm -3 -4 1 0\nt 1 -4 0\n"
+# variable 5 occurs nowhere, so its bit in the cw-as witness comes from the seed
+CNF = "p mcsp 5 5\no 1 2 0\no -1 3 0\no -2 -3 0\no 1 2 3 4 0\no -4 0\n"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -93,6 +107,156 @@ def test_solve_missing_epsilon(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, argv, expected",
+    [
+        (MIXED, ["--alg", "oracle"], '''\
+{
+  "algorithm": "oracle",
+  "epsilon": null,
+  "instance_digest": "353ca042dbcdb1b07e93765ade15ed137d5331dc49cf7669e170b9df3062eb3f",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 4,
+  "witness": "1111"
+}
+'''),
+        (FOREST, ["--alg", "tree"], '''\
+{
+  "algorithm": "tree",
+  "epsilon": null,
+  "instance_digest": "94fec349a310a6f63d8d4f70a7dc6cec64473c1efb70243f4078c4f578e7f733",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "10"
+}
+'''),
+        (THRESHOLD_MIX, ["--alg", "vc"], '''\
+{
+  "algorithm": "vc",
+  "epsilon": null,
+  "instance_digest": "2c288072a012f9eebd784f011789fe571ec41865dfa0b4b6c6cb3ffe26184a18",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 4,
+  "witness": "1110"
+}
+'''),
+        (FOREST, ["--alg", "fvs-as", "--epsilon", "1/4"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/4",
+  "instance_digest": "94fec349a310a6f63d8d4f70a7dc6cec64473c1efb70243f4078c4f578e7f733",
+  "oracle_value": null,
+  "ratio": null,
+  "route": "approx",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "10"
+}
+'''),
+        (CYCLIC, ["--alg", "fvs-as", "--epsilon", "0.5"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/2",
+  "instance_digest": "ac03655f5c2333a11cc32d793fed13dc83d993fd62a495d177e9a5b5ff0e57af",
+  "oracle_value": null,
+  "ratio": null,
+  "route": "exact-small",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "11"
+}
+'''),
+        (CNF, ["--alg", "cw-as", "--epsilon", "1/4", "--seed", "7", "--trials", "3"], '''\
+{
+  "algorithm": "cw-as",
+  "epsilon": "1/4",
+  "instance_digest": "249947725486d2ca685c54e6f2321e042ef585124e28d6e535b9582e2f4aea7a",
+  "oracle_value": null,
+  "ratio": null,
+  "route": "unbalanced-short",
+  "satisfiable": null,
+  "seed": 7,
+  "trials": 3,
+  "value": 5,
+  "witness": "01000"
+}
+'''),
+        (PARITY_SAT, ["--alg", "parity-sat"], '''\
+{
+  "algorithm": "parity-sat",
+  "epsilon": null,
+  "instance_digest": "44aa477dcec716dc5d64326c96b504c86ea02524ed810197d2274fd53bdc7018",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": true,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "100"
+}
+'''),
+        (PARITY, ["--alg", "parity-sat"], '''\
+{
+  "algorithm": "parity-sat",
+  "epsilon": null,
+  "instance_digest": "aa64c3783559a982a938531faad4d8cf799b8f0c12cd99129ec371c160b818df",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": false,
+  "seed": null,
+  "trials": null,
+  "value": 0,
+  "witness": null
+}
+'''),
+        (THRESHOLD_MIX, ["--alg", "vc", "--with-oracle"], '''\
+{
+  "algorithm": "vc",
+  "epsilon": null,
+  "instance_digest": "2c288072a012f9eebd784f011789fe571ec41865dfa0b4b6c6cb3ffe26184a18",
+  "oracle_value": 4,
+  "ratio": "1/1",
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 4,
+  "witness": "1110"
+}
+'''),
+    ],
+)
+def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
+    # The report's bytes, every field included, are fixed for each algorithm,
+    # and only this output prints the instance digest.
+    path = write(tmp_path, "a.mcsp", text)
+    code, out = run_cli(capsys, "solve", path, "--json", *argv)
+    assert code == 0
+    assert out == expected
+    assert json.loads(out)["instance_digest"] == instance_digest(parse_instance(text))
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["solve", "{file}", "--alg", "cw-as", "--epsilon", "abc"], "'abc'"),
@@ -104,6 +268,10 @@ def test_solve_missing_epsilon(tmp_path, capsys):
         (["solve", "{dir}/missing.mcsp", "--alg", "oracle"], "missing.mcsp"),
         (["generate", "thr2maj", "-o", "{out}", "--input", "{dir}/missing.mcsp"], "missing.mcsp"),
         (["compare", "--algs", "oracle", "--dir", "{dir}/missing", "-o", "{out}"], "missing"),
+        (["generate", "random", "-o", "{out}", "--num-vars", "3", "--num-constraints", "-2"], "-2 constraints"),
+        (["generate", "random", "-o", "{out}", "--num-vars", "-1"], "-1 variables"),
+        (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2", "--edge-prob", "2"], "got 2.0"),
+        (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2", "--edge-prob", "nan"], "got nan"),
     ],
 )
 def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):

@@ -234,8 +234,6 @@ def test_determinism():
     a = approx_max_cnf(f, "0.4", seed=3, trials=6, window_exponent=1)
     b = approx_max_cnf(f, "0.4", seed=3, trials=6, window_exponent=1)
     assert a == b
-    c = approx_max_cnf(f, "0.4", seed=4, trials=6, window_exponent=1)
-    assert a.seed != c.seed
 
 
 def test_selection_failure_falls_back_to_unbalanced_handling():

@@ -12,7 +12,6 @@ from maxcsp import (
     PreconditionError,
     parity,
     VertexSplit,
-    all_constraints_cover,
     and_term,
     at_least,
     count_satisfied,
@@ -27,6 +26,11 @@ from maxcsp import cover_solver, oracle
 from maxcsp.cover_solver import feasible_true_counts
 
 from helpers import random_cover_instance, sigma_loop_vertex_cover, subset_search_residual_max
+
+
+def _all_constraints(f: Formula) -> VertexSplit:
+    """The always-valid cover of every constraint vertex and no variable."""
+    return VertexSplit(frozenset(), frozenset(range(f.num_constraints)))
 
 
 def test_residual_conflicting_pair():
@@ -87,7 +91,7 @@ def test_feasibility_monotone_under_subsets():
 
 def test_solve_with_all_constraints_cover():
     f = Formula(2, (or_clause(1, 2), and_term(1, 2)))
-    res = solve_via_vertex_cover(f, all_constraints_cover(f))
+    res = solve_via_vertex_cover(f, _all_constraints(f))
     assert res.value == 2 and res.witness.bits == (1, 1)
 
 
@@ -118,7 +122,7 @@ def test_cover_solver_handles_parity_free_kinds_only():
 
     f = Formula(2, (parity(0, 1, 2),))
     with pytest.raises(PreconditionError):
-        solve_via_vertex_cover(f, all_constraints_cover(f))
+        solve_via_vertex_cover(f, _all_constraints(f))
 
 
 def _random_constraint(rng: random.Random, n: int, max_arity: int) -> Constraint:
@@ -282,7 +286,7 @@ def _cover_formulas():
     for _ in range(100):
         n, m = rng.randint(0, 7), rng.randint(0, 8)
         f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
-        yield "all-constraints", f, all_constraints_cover(f)
+        yield "all-constraints", f, _all_constraints(f)
     for _ in range(160):
         n, m = rng.randint(1, 9), rng.randint(1, 10)
         f = Formula(n, tuple(_random_constraint(rng, n, 4) for _ in range(m)))
@@ -374,7 +378,7 @@ def test_cover_solver_with_sixteen_cover_variables():
 def test_cover_solver_rejects_parity_in_any_cover():
     f = Formula(3, (or_clause(1, 2), parity(1, 2, 3), at_least(2, 1, 3)))
     for cover in (
-        all_constraints_cover(f),
+        _all_constraints(f),
         VertexSplit(frozenset({1, 2, 3}), frozenset()),
         VertexSplit(frozenset({2}), frozenset({1, 2})),
     ):

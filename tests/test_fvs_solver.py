@@ -9,6 +9,7 @@ from maxcsp import (
     PreconditionError,
     VertexSplit,
     approx_via_fvs,
+    as_threshold_formula,
     at_least,
     count_satisfied,
     majority,
@@ -16,6 +17,7 @@ from maxcsp import (
     plan_route,
     simplify_fix_variable,
     solve_forest,
+    solve_via_vertex_cover,
 )
 
 from helpers import random_forest_formula, random_small_fvs_instance
@@ -33,12 +35,20 @@ def test_forest_instance_is_solved_exactly():
 
 
 def test_small_route_is_exact():
+    # The route solves the whole instance as one residual; the vertex-cover
+    # solver on the cover of every constraint vertex is the reference.
     rng = random.Random(2)
+    small = 0
     for _ in range(20):
         f, fvs = random_small_fvs_instance(rng, max_vars=8, max_cons=5, hubs=2)
         report = approx_via_fvs(f, fvs, "0.25")
         if report.route == "exact-small":
+            small += 1
             assert report.value == max_csp_bruteforce(f).value
+            everything = VertexSplit(frozenset(), frozenset(range(f.num_constraints)))
+            ref = solve_via_vertex_cover(as_threshold_formula(f), everything)
+            assert (report.value, report.witness) == (ref.value, ref.witness)
+    assert small > 0
 
 
 def test_guarantee_on_small_fvs_instances():
@@ -64,8 +74,7 @@ def test_route_boundary_exact():
         hub = at_least(1, 1, 2)
         f = Formula(m + 1, (hub,) + fillers)
         fvs = VertexSplit(frozenset(), frozenset({0}))
-        plan = plan_route(f, fvs, eps)
-        assert plan.route == expected
+        assert plan_route(f, fvs, eps) == expected
         report = approx_via_fvs(f, fvs, eps)
         assert report.route == expected
 

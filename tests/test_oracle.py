@@ -244,6 +244,12 @@ def test_random_formula_infeasible_spec():
         random_formula(3, 5, {"OR": 0}, (1, 2), seed=0)
 
 
+@pytest.mark.parametrize("num_vars, num_constraints", [(3, -2), (-1, 0)])
+def test_random_formula_rejects_negative_counts(num_vars, num_constraints):
+    with pytest.raises(MalformedInstanceError, match="negative count"):
+        random_formula(num_vars, num_constraints, {"OR": 1}, (0, 0), seed=0)
+
+
 def every_kind_formula(rng, n, m):
     """Random constraints of every kind, arity 0..min(4, n), thresholds
     0..arity+1 and both parity right-hand sides."""

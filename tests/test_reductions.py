@@ -8,6 +8,7 @@ from maxcsp import (
     ContractViolationError,
     Formula,
     Kind,
+    MalformedInstanceError,
     MccGraph,
     at_least,
     build_incidence_graph,
@@ -247,7 +248,8 @@ def test_cnf_to_majority_nd_at_most_doubles_on_gadget_family():
     # what the clique gadgets with part size 2 produce; a single arity-four
     # module already needs two distinguishable dummies and breaks it.
     for seed in range(10):
-        g = random_mcc(3, 2, 0.1 * seed + 0.2, seed)
+        # capped at 1, which draws the same complete graph as any larger value
+        g = random_mcc(3, 2, min(1.0, 0.1 * seed + 0.2), seed)
         f = mcc_to_cnf(g).formula
         nd_in = neighborhood_diversity(build_incidence_graph(f).graph).k
         nd_out = neighborhood_diversity(build_incidence_graph(cnf_to_majority(f)).graph).k
@@ -277,6 +279,12 @@ def test_has_multicolored_clique_enumerator():
     assert has_multicolored_clique(complete_mcc(3, 2))
     assert not has_multicolored_clique(edgeless_mcc(2, 2))
     assert has_multicolored_clique(single_edge_graph())
+
+
+@pytest.mark.parametrize("edge_prob", [-0.1, 2.0, float("nan")])
+def test_random_mcc_rejects_edge_probability_outside_unit_interval(edge_prob):
+    with pytest.raises(MalformedInstanceError, match="edge probability"):
+        random_mcc(2, 2, edge_prob, 0)
 
 
 def test_gadget_index_chain_lengths():
