@@ -225,6 +225,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _mcc_from_args(args: argparse.Namespace) -> reductions.MccGraph:
+    sources = {
+        "--graph": args.graph is not None,
+        "--complete": args.complete,
+        "--edgeless": args.edgeless,
+        "--edge-prob": args.edge_prob is not None,
+    }
+    if sum(sources.values()) > 1:
+        given = ", ".join(name for name, on in sources.items() if on)
+        raise PreconditionError(f"choose one of --graph, --complete, --edgeless or --edge-prob, got {given}")
     if args.graph is not None:
         return parse_mcc(_read_text(args.graph))
     if args.k is None or args.n is None:

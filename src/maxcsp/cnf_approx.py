@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     LemmaViolationError,
+    MalformedInstanceError,
     PreconditionError,
     ResourceLimitError,
 )
@@ -94,6 +95,8 @@ def clause_partition(
     eps_prime = parse_fraction(epsilon_prime)
     if not 0 < eps_prime < 1:
         raise PreconditionError(f"epsilon_prime must be in (0, 1), got {eps_prime}")
+    if window_exponent < 1:
+        raise MalformedInstanceError(f"window exponent must be at least 1, got {window_exponent}")
     ratio = eps_prime ** (-window_exponent)
     m = f.num_constraints
     sizes = [c.arity for c in f.constraints]

@@ -5,15 +5,15 @@ the cover then have all variables fixed and are counted directly, while the
 at-most-k covered constraints form a residual whose optimum is found by
 testing constraint subsets in decreasing size with a type-vector counting
 argument: variables with identical occurrence patterns are interchangeable,
-so only the number set to true per pattern matters.  Once a level of subsets
-outnumbers the assignments of the residual's occurring variables, those
-assignments are enumerated instead (see ``residual_exact_max``).
+so only the number set to true per pattern matters.  A residual whose
+constraints cannot all hold and whose occurring variables fit one oracle
+chunk has those variables' assignments enumerated instead of its smaller
+subsets (see ``residual_exact_max``).
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from math import comb
 from typing import Sequence
 
 from .errors import ContractViolationError, PreconditionError
@@ -142,33 +142,6 @@ def _subset_witness(
     return _selection_to_assignment(thr.num_vars, groups, selection)
 
 
-def _first_max_satisfied_set(
-    constraints: Sequence[Constraint], variables: Sequence[int]
-) -> list[int]:
-    """Satisfied set of a maximiser over the 2^r assignments of ``variables``,
-    the first in ``itertools.combinations`` order among the maximisers' sets.
-
-    ``variables`` must hold every variable of ``constraints``, and their
-    assignments must fit one oracle chunk.  Among sets of one size, the first
-    in that order is the one whose membership vector, constraint 0 first, is
-    largest; so the maximisers are narrowed, constraint by constraint, to
-    those that satisfy it whenever any does.  Which assignment index holds
-    which assignment does not matter to that narrowing.
-    """
-    kernel = _SatisfiedCounts(constraints, variables)
-    if kernel.num_chunks != 1:
-        raise AssertionError(f"{len(variables)} variables span {kernel.num_chunks} oracle chunks")
-    counts = kernel.counts(0)
-    chosen = counts == counts.max()
-    subset = []
-    for j in range(len(constraints)):
-        hit = chosen & kernel.mask(j, 0)
-        if hit.any():
-            chosen = hit
-            subset.append(j)
-    return subset
-
-
 def residual_exact_max(f: Formula) -> OracleResult:
     """Maximum simultaneously satisfiable constraints of a small residual.
 
@@ -177,23 +150,22 @@ def residual_exact_max(f: Formula) -> OracleResult:
     feasibility under taking subsets makes that the optimum.  The witness
     sets, per type class, the lowest-index variables true.
 
-    A level of C(m, s) subsets costs more than enumerating the 2^r
-    assignments of the r occurring variables once C(m, s) > 2^r.  From the
-    first such level on, when r fits one oracle chunk, the satisfied sets of
-    the maximisers are enumerated instead: the first feasible subset of the
-    remaining levels is the first of them in the same order, and its witness
-    comes from the same type-class search, so the result is unchanged.
+    Below the whole set, when the r occurring variables fit one oracle
+    chunk, their 2^r assignments are enumerated instead.  An assignment that
+    satisfies a feasible subset of the optimum's size satisfies exactly that
+    subset, so the first feasible subset is the first of the maximisers'
+    satisfied sets in the same order, and its witness comes from the same
+    type-class search.
     """
     thr = as_threshold_formula(f)
     m = thr.num_constraints
     occ = _occurrence_maps(thr.num_vars, thr.constraints)
     relevant = [x for x in range(1, thr.num_vars + 1) if occ[x]]
-    r = len(relevant)
     for size in range(m, -1, -1):
-        if _SatisfiedCounts.one_chunk(r) and comb(m, size) > 1 << r:
-            subset = _first_max_satisfied_set(thr.constraints, relevant)
+        if size < m and _SatisfiedCounts.one_chunk(len(relevant)):
+            subset = _SatisfiedCounts(thr.constraints, relevant).first_max_satisfied_set()
             witness = _subset_witness(thr, occ, relevant, subset)
-            if witness is None or len(subset) > size:
+            if witness is None:
                 raise AssertionError("a maximiser's satisfied set failed the subset search")
             return OracleResult(len(subset), witness)
         for subset in combinations(range(m), size):

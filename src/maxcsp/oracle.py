@@ -104,32 +104,28 @@ class _LinearForm:
         self.arity = np.array([constraints[j].arity for j, _ in rows], dtype=np.intp)
         self.starts = np.cumsum(self.arity) - self.arity
 
-    def true_counts(self, x: np.ndarray, r: int | None = None) -> np.ndarray:
-        """Each row's true literals, or row ``r``'s alone as one row, at each
-        column of ``x``: 0/1 values, one row per variable in ``variables``
-        order."""
-        if r is None:
-            return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
-        lits = slice(self.starts[r], self.starts[r] + self.arity[r])
-        return np.add.reduce(x[self.cols[lits]] ^ self.neg[lits], axis=0, dtype=np.int32, keepdims=True)
+    def true_counts(self, x: np.ndarray) -> np.ndarray:
+        """Each row's true literals at each column of ``x``: 0/1 values, one
+        row per variable in ``variables`` order."""
+        return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
 
-    def count_held(self, counts: np.ndarray, need: np.ndarray, held: np.ndarray) -> np.ndarray:
-        """Rows held at each column: count at least need in the first
-        ``num_geq`` rows, count equal to need in the PARITY rows, whose
-        counts and needs the caller has taken mod 2.  ``held`` is a boolean
-        scratch array of ``counts``' shape."""
+    def held(self, counts: np.ndarray, need: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Which rows hold at each column, in the boolean ``out`` of
+        ``counts``' shape: count at least need in the first ``num_geq`` rows,
+        count equal to need in the PARITY rows, whose counts and needs the
+        caller has taken mod 2."""
         k = self.num_geq
-        np.greater_equal(counts[:k], need[:k], out=held[:k])
-        np.equal(counts[k:], need[k:], out=held[k:])
-        return np.add.reduce(held, axis=0, dtype=np.uint8 if len(held) <= 255 else np.int32)
+        np.greater_equal(counts[:k], need[:k], out=out[:k])
+        np.equal(counts[k:], need[k:], out=out[k:])
+        return out
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Satisfied count at each column of ``x``, laid out as in
         ``true_counts``."""
         counts = self.true_counts(x)
         counts[self.num_geq:] &= 1
-        held = self.count_held(counts, self.target, np.empty(counts.shape, dtype=bool))
-        return held.astype(np.int64) + self.always
+        held = self.held(counts, self.target, np.empty(counts.shape, dtype=bool))
+        return np.add.reduce(held, axis=0, dtype=np.int64) + self.always
 
 
 class _SatisfiedCounts:
@@ -176,6 +172,8 @@ class _SatisfiedCounts:
         low[form.num_geq:] &= 1
         self._low_counts = low
         self._held = np.empty(low.shape, dtype=bool)
+        # a block's satisfied counts fit uint8 up to 255 rows
+        self._sum_type = np.uint8 if rows <= 255 else np.int32
         self._parity = np.arange(rows)[:, None] >= form.num_geq
         # blocks per slice: a block's needs take about 9 bytes per variable
         # (its first assignment) and 24 per literal (the gather, its XOR and
@@ -187,52 +185,64 @@ class _SatisfiedCounts:
         """Whether the assignments of ``num_vars`` variables fit one chunk."""
         return num_vars <= _CHUNK_BITS
 
-    def _slices(self, high: int):
-        """The blocks of chunk ``high`` in slices: (first position in the
-        chunk, global block numbers)."""
-        per_chunk = 1 << (self.chunk_bits - self._block_bits)
-        for lo in range(0, per_chunk, self._slice):
-            hi = min(lo + self._slice, per_chunk)
-            yield lo << self._block_bits, np.arange(lo, hi) + high * per_chunk
-
-    def _needs(self, blocks: np.ndarray, r: int | None = None) -> np.ndarray:
-        """Each row's need, or row ``r``'s alone, in each of ``blocks``
-        (columns): its target less its true literals on the block's bits
-        from b up, at least 0, or mod 2 for a PARITY row."""
+    def _needs(self, blocks: np.ndarray) -> np.ndarray:
+        """Each row's need in each of ``blocks`` (columns): its target less
+        its true literals on the block's bits from b up, at least 0, or mod 2
+        for a PARITY row."""
         form = self._form
         # the assignment at each block's first index, one column per block
         x = (((blocks << self._block_bits) >> self._shift) & 1).astype(np.uint8)
-        rows = slice(None) if r is None else slice(r, r + 1)
-        need = form.target[rows] - form.true_counts(x, r) + self._low_at_0[rows]
-        return np.where(self._parity[rows], need & 1, np.maximum(need, 0)).astype(np.uint8)
+        need = form.target - form.true_counts(x) + self._low_at_0
+        return np.where(self._parity, need & 1, np.maximum(need, 0)).astype(np.uint8)
+
+    def _held_blocks(self, high: int):
+        """The blocks of chunk ``high``, their needs built a slice of blocks
+        at a time: (first position in the chunk, which rows hold at each
+        position of the block, in one scratch array that the next overwrites)."""
+        per_chunk = 1 << (self.chunk_bits - self._block_bits)
+        for lo in range(0, per_chunk, self._slice):
+            need = self._needs(np.arange(lo, min(lo + self._slice, per_chunk)) + high * per_chunk)
+            for i in range(need.shape[1]):
+                held = self._form.held(self._low_counts, need[:, i:i + 1], self._held)
+                yield (lo + i) << self._block_bits, held
 
     def counts(self, high: int) -> np.ndarray:
         """Satisfied count of each assignment of chunk ``high``, in a new array."""
         size = 1 << self._block_bits
         counts = np.empty(1 << self.chunk_bits, dtype=np.int32)
-        for start, blocks in self._slices(high):
-            need = self._needs(blocks)
-            for i in range(len(blocks)):
-                counts[start + i * size:start + (i + 1) * size] = self._form.count_held(
-                    self._low_counts, need[:, i:i + 1], self._held
-                )
+        for start, held in self._held_blocks(high):
+            counts[start:start + size] = np.add.reduce(held, axis=0, dtype=self._sum_type)
         counts += self._form.always
         return counts
 
-    def mask(self, j: int, high: int) -> np.ndarray | bool:
-        """Which assignments of chunk ``high`` satisfy constraint ``j``: a new
-        boolean array, or a bool for a constant constraint."""
+    def first_max_satisfied_set(self) -> list[int]:
+        """The maximisers' satisfied set that comes first in
+        ``itertools.combinations`` order, when the assignments fit one chunk.
+
+        The maximisers' sets have one size, and the first of them is the one
+        whose membership vector, constraint 0 first, is largest.  Each
+        block's maximisers are narrowed to those whose next byte of the
+        vector is largest until one is left; the block whose one satisfies
+        the most, then has the largest vector, wins.  Constant constraints
+        are the same in every vector.
+        """
+        if self.num_chunks != 1:
+            raise AssertionError(f"{len(self._shift)} variables span {self.num_chunks} oracle chunks")
         form = self._form
-        if j in form.const:
-            return form.const[j]
-        r = form.row_of[j]
-        held = np.greater_equal if r < form.num_geq else np.equal
-        size = 1 << self._block_bits
-        out = np.empty(1 << self.chunk_bits, dtype=bool)
-        for start, blocks in self._slices(high):
-            view = out[start:start + len(blocks) * size].reshape(len(blocks), size)
-            held(self._low_counts[r], self._needs(blocks, r).T, out=view)
-        return out
+        varying = sorted(form.row_of)
+        order = np.array([form.row_of[j] for j in varying], dtype=np.intp)
+        best = (-1, b"")
+        for _, held in self._held_blocks(0):
+            satisfied = np.add.reduce(held, axis=0, dtype=self._sum_type)
+            cols = np.flatnonzero(satisfied == satisfied.max())
+            for lo in range(0, len(order), 8):
+                if len(cols) < 2:
+                    break
+                byte = np.packbits(held[order[lo:lo + 8]][:, cols], axis=0)[0]
+                cols = cols[byte == byte.max()]
+            best = max(best, (int(satisfied[cols[0]]), np.packbits(held[order, cols[0]]).tobytes()))
+        held = form.const | dict(zip(varying, np.unpackbits(np.frombuffer(best[1], np.uint8)).tolist()))
+        return sorted(j for j, h in held.items() if h)
 
 
 def parity_gauss_satisfiable(f: Formula) -> tuple[bool, Assignment | None]:

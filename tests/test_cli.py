@@ -272,6 +272,8 @@ def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
         (["generate", "random", "-o", "{out}", "--num-vars", "-1"], "-1 variables"),
         (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2", "--edge-prob", "2"], "got 2.0"),
         (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2", "--edge-prob", "nan"], "got nan"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4", "--window-exponent", "-1"], "got -1"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4", "--window-exponent", "0"], "got 0"),
     ],
 )
 def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):
@@ -284,6 +286,29 @@ def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, arg
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "sources, given",
+    [
+        (["--complete", "--edgeless", "--edge-prob", "0.3"], "--complete, --edgeless, --edge-prob"),
+        (["--complete", "--edge-prob", "0.3"], "--complete, --edge-prob"),
+        (["--edgeless", "--edge-prob", "0.3"], "--edgeless, --edge-prob"),
+        (["--graph", "{graph}", "--complete"], "--graph, --complete"),
+        (["--graph", "{graph}", "--edgeless"], "--graph, --edgeless"),
+        (["--graph", "{graph}", "--edge-prob", "0.3"], "--graph, --edge-prob"),
+    ],
+)
+def test_generate_graph_sources_exclude_each_other(tmp_path, capsys, sources, given):
+    graph = str(tmp_path / "g.mcc")
+    out = str(tmp_path / "c.mcsp")
+    sources = [a.format(graph=graph) for a in sources]
+    assert main(["generate", "mcc-cnf", "-o", out, "--k", "2", "--n", "2", *sources]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f"got {given}" in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert not os.path.exists(out)
 
 

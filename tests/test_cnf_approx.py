@@ -12,6 +12,7 @@ from maxcsp import (
     Kind,
     LemmaViolationError,
     Literal,
+    MalformedInstanceError,
     PreconditionError,
     ResourceLimitError,
     approx_max_cnf,
@@ -107,6 +108,14 @@ def test_partition_rejects_non_cnf():
 
     with pytest.raises(ContractViolationError):
         clause_partition(Formula(1, (at_least(1, 1),)), "0.25")
+
+
+@pytest.mark.parametrize("window_exponent", [-1, 0])
+def test_partition_rejects_window_exponent_below_one(window_exponent):
+    # below 1 the window ratio is at most 1, and every clause would count as long
+    f = Formula(2, (or_clause(1), or_clause(1, 2)))
+    with pytest.raises(MalformedInstanceError, match=f"got {window_exponent}"):
+        clause_partition(f, "0.25", window_exponent)
 
 
 def test_selection_empty_when_long_side_within_stop_bound():
@@ -394,10 +403,14 @@ def test_integer_selection_matches_fraction_reference():
             for eps in (Fraction(1, 5), Fraction(3, 10), Fraction(2, 5), Fraction(1, 2)):
                 # the pipeline's split, and splits that are balanced more often
                 for eps_prime, window_exponent in ((eps * eps, 1), (Fraction(1, 4), 1), (Fraction(1, 9), 0)):
-                    part = clause_partition(f, eps_prime, window_exponent)
-                    assert (part.cutoff, part.short, part.medium, part.long) == fraction_clause_split(
-                        f, eps_prime, window_exponent
-                    )
+                    split = fraction_clause_split(f, eps_prime, window_exponent)
+                    if window_exponent:
+                        part = clause_partition(f, eps_prime, window_exponent)
+                        assert (part.cutoff, part.short, part.medium, part.long) == split
+                    else:
+                        # clause_partition rejects exponent 0, but its one-size
+                        # window still splits the clauses for the selection
+                        part = cnf_approx.ClausePartition(f, *split)
                     got = selection_outcome(select_sparse_variables, part, eps)
                     if isinstance(got, cnf_approx.SparseVariableSelection):
                         got = (got.variables, got.remaining_long, got.audit)

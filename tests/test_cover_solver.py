@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -164,7 +163,7 @@ def _routing_formulas():
         yield "ties", Formula(n, tuple(cons))
     for _ in range(60):
         # AND terms over few variables conflict, so the optimum lies levels
-        # below m and the switch comes after more than two subset levels
+        # below m
         n, m = rng.randint(4, 6), rng.randint(6, 9)
         cons = []
         for _ in range(m):
@@ -183,25 +182,22 @@ def _routing_formulas():
         yield "wide", Formula(n, tuple(cons))
 
 
-def _switch_level(f: Formula) -> int | None:
-    """First level whose subsets outnumber the assignments of the occurring
-    variables, when those fit one oracle chunk."""
+def _enumerated(f: Formula, value: int) -> bool:
+    """Whether the residual's assignments are enumerated: the whole set is
+    infeasible and the occurring variables fit one 16-bit oracle chunk."""
     r = len({lit.var for c in f.constraints for lit in c.literals})
-    m = f.num_constraints
-    if r > 16:
-        return None
-    return next((s for s in range(m, -1, -1) if math.comb(m, s) > 1 << r), None)
+    return r <= 16 and value < f.num_constraints
 
 
 def test_routed_residual_equals_subset_search(monkeypatch):
     calls = []
-    enumerate_sets = cover_solver._first_max_satisfied_set
+    enumerate_sets = oracle._SatisfiedCounts.first_max_satisfied_set
 
-    def spy(constraints, variables):
-        calls.append(len(constraints))
-        return enumerate_sets(constraints, variables)
+    def spy(kernel):
+        calls.append(kernel)
+        return enumerate_sets(kernel)
 
-    monkeypatch.setattr(cover_solver, "_first_max_satisfied_set", spy)
+    monkeypatch.setattr(oracle._SatisfiedCounts, "first_max_satisfied_set", spy)
     seen = {}
     total = 0
     for family, f in _routing_formulas():
@@ -210,19 +206,16 @@ def test_routed_residual_equals_subset_search(monkeypatch):
         res = residual_exact_max(f)
         value, witness = subset_search_residual_max(f)
         assert (res.value, res.witness) == (value, witness), (family, f)
-        level = _switch_level(f)
-        switched = level is not None and value <= level
-        assert len(calls) == int(switched)
+        enumerated = _enumerated(f, value)
+        assert len(calls) == int(enumerated)
         m = f.num_constraints
-        where = "never" if not switched else f"m-{m - level}" if m - level <= 2 else "deeper"
+        where = "never" if not enumerated else "m-1, m-2" if value >= m - 2 else "deeper"
         seen[family, where] = seen.get((family, where), 0) + 1
     assert total >= 500
-    # the first level that can switch is m - 1: level m is one subset, and
-    # one subset never outnumbers the 2^r >= 1 assignments
-    for where in ("m-1", "m-2", "never"):
+    for where in ("m-1, m-2", "never"):
         assert seen.get(("random", where), 0) >= 10, seen
     assert seen.get(("gapped", "deeper"), 0) >= 10, seen
-    for family in ("arity-0", "fixed", "ties"):
+    for family in ("random", "arity-0", "fixed", "ties"):
         assert sum(n for (fam, w), n in seen.items() if fam == family and w != "never") >= 10, seen
     assert seen.get(("wide", "never")) == 20
     assert seen.get(("empty", "never")) == 3
@@ -231,9 +224,9 @@ def test_routed_residual_equals_subset_search(monkeypatch):
 def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
     # With the oracle's chunk limit below r, every level is a subset search.
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 1)
-    monkeypatch.setattr(cover_solver, "_first_max_satisfied_set", None)
+    monkeypatch.setattr(oracle._SatisfiedCounts, "first_max_satisfied_set", None)
     rng = random.Random(77)
-    would_switch = 0
+    would_enumerate = 0
     for _ in range(40):
         n, m = rng.randint(2, 6), rng.randint(3, 8)
         f = Formula(n, tuple(_random_constraint(rng, n, 3) for _ in range(m)))
@@ -241,10 +234,30 @@ def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
             continue
         res = residual_exact_max(f)
         assert (res.value, res.witness) == subset_search_residual_max(f)
-        level = _switch_level(f)
-        would_switch += level is not None and res.value <= level
+        would_enumerate += _enumerated(f, res.value)
     # with 16-bit chunks these residuals would have been enumerated
-    assert would_switch >= 10
+    assert would_enumerate >= 10
+
+
+def test_residual_of_complementary_units_tests_one_subset_then_enumerates(monkeypatch):
+    # 100 pairs x_v, not x_v over 16 variables: the whole set is infeasible,
+    # and the optimum lies 100 levels below it.  Its satisfied set is found
+    # by enumeration, so only the whole set and that set are tested.
+    n = 16
+    f = Formula(n, tuple(or_clause(s * (i % n + 1)) for i in range(100) for s in (1, -1)))
+    calls = []
+    feasible = cover_solver.feasible_true_counts
+
+    def spy(*args):
+        calls.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(cover_solver, "feasible_true_counts", spy)
+    res = residual_exact_max(f)
+    assert len(calls) <= 2
+    assert res.value == max_csp_bruteforce(f).value == 100
+    # the first set in combinations order takes every positive unit
+    assert res.witness.bits == (1,) * n
 
 
 def test_residual_enumeration_reads_the_oracle_chunk_constant(monkeypatch):
@@ -261,7 +274,7 @@ def test_residual_enumeration_reads_the_oracle_chunk_constant(monkeypatch):
 def test_first_max_satisfied_set_refuses_several_chunks(monkeypatch):
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
     with pytest.raises(AssertionError, match="span 2 oracle chunks"):
-        cover_solver._first_max_satisfied_set([or_clause(1, 2, 3)], [1, 2, 3])
+        oracle._SatisfiedCounts([or_clause(1, 2, 3)], [1, 2, 3]).first_max_satisfied_set()
 
 
 def _random_vertex_cover(rng: random.Random, f: Formula) -> VertexSplit:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from maxcsp import (
@@ -281,11 +282,14 @@ def set_kernel_layout(monkeypatch, chunk_bits, block_bytes):
 
 def assert_kernel_matches_scalar(f, variables):
     kernel = oracle._SatisfiedCounts(f.constraints, variables)
+    form = kernel._form
     n = len(variables)
     size = 1 << kernel.chunk_bits
+    sets = []
     for high in range(kernel.num_chunks):
         counts = kernel.counts(high)
-        masks = [kernel.mask(j, high) for j in range(f.num_constraints)]
+        # every row's held value at every assignment of the chunk, block by block
+        held = np.concatenate([block.copy() for _, block in kernel._held_blocks(high)], axis=1)
         for i in range(size):
             index = (high << kernel.chunk_bits) + i
             bits = [0] * f.num_vars
@@ -293,9 +297,17 @@ def assert_kernel_matches_scalar(f, variables):
                 bits[x - 1] = (index >> (n - 1 - p)) & 1
             a = Assignment(tuple(bits))
             assert counts[i] == count_satisfied(f, a)
+            satisfied = []
             for j, c in enumerate(f.constraints):
-                held = masks[j] if isinstance(masks[j], bool) else bool(masks[j][i])
-                assert held == eval_constraint(c, a)
+                got = form.const[j] if j in form.const else bool(held[form.row_of[j], i])
+                assert got == eval_constraint(c, a)
+                if got:
+                    satisfied.append(j)
+            sets.append((counts[i], satisfied))
+    if kernel.num_chunks == 1:
+        # the maximisers' satisfied set that comes first in combinations order
+        best = max(count for count, _ in sets)
+        assert kernel.first_max_satisfied_set() == min(s for count, s in sets if count == best)
 
 
 @pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
@@ -331,21 +343,30 @@ def test_kernel_needs_stay_within_block_budget(monkeypatch):
     widths = []
     true_counts = oracle._LinearForm.true_counts
 
-    def spy(form, x, r=None):
+    def spy(form, x):
         widths.append(x.shape[1])
         assert len(form.cols) * x.shape[1] <= budget
-        return true_counts(form, x, r)
+        return true_counts(form, x)
 
     monkeypatch.setattr(oracle._LinearForm, "true_counts", spy)
     n = 16
     f = random_formula(n, 2000, {"OR": 2, "PARITY": 1, "THRESHOLD": 1}, (1, 3), seed=44)
     kernel = oracle._SatisfiedCounts(f.constraints, range(1, n + 1))
     counts = kernel.counts(0)
-    masks = {j: kernel.mask(j, 0) for j in range(0, f.num_constraints, 97)}
-    assert len(widths) > 1 + len(masks)
+    assert len(widths) > 1
     rng = random.Random(45)
     for index in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(40)]:
         a = Assignment(tuple((index >> (n - i)) & 1 for i in range(1, n + 1)))
         assert counts[index] == count_satisfied(f, a)
-        for j, mask in masks.items():
-            assert bool(mask[index]) == eval_constraint(f.constraints[j], a)
+    # 200 pairs x_v, not x_v over the 16 variables: all 2^16 assignments
+    # tie, and the narrowing reads their rows' held values in one pass over
+    # the blocks, with the needs built a bounded slice at a time
+    ties = Formula(n, tuple(or_clause(s * (i % n + 1)) for i in range(200) for s in (1, -1)))
+    kernel = oracle._SatisfiedCounts(ties.constraints, range(1, n + 1))
+    widths.clear()
+    kernel.counts(0)
+    counting = list(widths)
+    assert len(counting) > 1
+    widths.clear()
+    assert kernel.first_max_satisfied_set() == list(range(0, 400, 2))
+    assert widths == counting
