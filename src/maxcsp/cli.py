@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -235,6 +236,9 @@ def _mcc_from_args(args: argparse.Namespace) -> reductions.MccGraph:
         given = ", ".join(name for name, on in sources.items() if on)
         raise PreconditionError(f"choose one of --graph, --complete, --edgeless or --edge-prob, got {given}")
     if args.graph is not None:
+        sizes = ", ".join(name for name, value in (("--k", args.k), ("--n", args.n)) if value is not None)
+        if sizes:
+            raise PreconditionError(f"--graph gives k and n, so --k and --n do not apply, got {sizes}")
         return parse_mcc(_read_text(args.graph))
     if args.k is None or args.n is None:
         raise PreconditionError("either --graph or both --k and --n are required")
@@ -333,6 +337,8 @@ def _compare_task(task: tuple) -> list[tuple]:
             status = "error:precondition"
         except ResourceLimitError:
             status = "error:resource"
+        except MaxCspError:
+            status = "error:solver"
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         if report is not None:
             report.verify(f)
@@ -353,6 +359,8 @@ def _compare_task(task: tuple) -> list[tuple]:
 def cmd_compare(args: argparse.Namespace) -> int:
     import os
 
+    if args.workers < 1:
+        raise MalformedInstanceError(f"--workers must be at least 1, got {args.workers}")
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     for a in algs:
         if a not in ALGORITHMS:
@@ -417,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vc", type=int, default=structure.DEFAULT_VC_BUDGET)
     p.add_argument("--max-fvs", type=int, default=structure.DEFAULT_FVS_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="run one solver on one instance")
     p.add_argument("file")
@@ -432,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="emit instances and gadget reductions")
     p.add_argument("what", choices=["mcc-cnf", "mcc-dnf", "mcc-thr", "thr2maj", "cnf2maj", "random"])
@@ -450,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="OR=1")
     p.add_argument("--arity-min", type=int, default=1)
     p.add_argument("--arity-max", type=int, default=3)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("compare", help="ratio table over a directory of instances")
     p.add_argument("--algs", required=True)
@@ -462,15 +467,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2)
     p.add_argument("--timing", action="store_true")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built by ``build_parser`` on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called many times in one process.
+
+    The parser is built once, and ``cmd_<command>`` is looked up on this
+    module at each call, so a wrapper installed there sees every call.
+    """
+    args = _parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, MalformedInstanceError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -106,10 +106,9 @@ def test_solve_missing_epsilon(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "text, argv, expected",
-    [
-        (MIXED, ["--alg", "oracle"], '''\
+# (instance, solve options, the exact `solve --json` output)
+PINNED_SOLVE_JSON = [
+    (MIXED, ["--alg", "oracle"], '''\
 {
   "algorithm": "oracle",
   "epsilon": null,
@@ -124,7 +123,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "1111"
 }
 '''),
-        (FOREST, ["--alg", "tree"], '''\
+    (FOREST, ["--alg", "tree"], '''\
 {
   "algorithm": "tree",
   "epsilon": null,
@@ -139,7 +138,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "10"
 }
 '''),
-        (THRESHOLD_MIX, ["--alg", "vc"], '''\
+    (THRESHOLD_MIX, ["--alg", "vc"], '''\
 {
   "algorithm": "vc",
   "epsilon": null,
@@ -154,7 +153,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "1110"
 }
 '''),
-        (FOREST, ["--alg", "fvs-as", "--epsilon", "1/4"], '''\
+    (FOREST, ["--alg", "fvs-as", "--epsilon", "1/4"], '''\
 {
   "algorithm": "fvs-as",
   "epsilon": "1/4",
@@ -169,7 +168,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "10"
 }
 '''),
-        (CYCLIC, ["--alg", "fvs-as", "--epsilon", "0.5"], '''\
+    (CYCLIC, ["--alg", "fvs-as", "--epsilon", "0.5"], '''\
 {
   "algorithm": "fvs-as",
   "epsilon": "1/2",
@@ -184,7 +183,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "11"
 }
 '''),
-        (CNF, ["--alg", "cw-as", "--epsilon", "1/4", "--seed", "7", "--trials", "3"], '''\
+    (CNF, ["--alg", "cw-as", "--epsilon", "1/4", "--seed", "7", "--trials", "3"], '''\
 {
   "algorithm": "cw-as",
   "epsilon": "1/4",
@@ -199,7 +198,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "01000"
 }
 '''),
-        (PARITY_SAT, ["--alg", "parity-sat"], '''\
+    (PARITY_SAT, ["--alg", "parity-sat"], '''\
 {
   "algorithm": "parity-sat",
   "epsilon": null,
@@ -214,7 +213,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "100"
 }
 '''),
-        (PARITY, ["--alg", "parity-sat"], '''\
+    (PARITY, ["--alg", "parity-sat"], '''\
 {
   "algorithm": "parity-sat",
   "epsilon": null,
@@ -229,7 +228,7 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": null
 }
 '''),
-        (THRESHOLD_MIX, ["--alg", "vc", "--with-oracle"], '''\
+    (THRESHOLD_MIX, ["--alg", "vc", "--with-oracle"], '''\
 {
   "algorithm": "vc",
   "epsilon": null,
@@ -244,8 +243,10 @@ def test_solve_missing_epsilon(tmp_path, capsys):
   "witness": "1110"
 }
 '''),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("text, argv, expected", PINNED_SOLVE_JSON)
 def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
     # The report's bytes, every field included, are fixed for each algorithm,
     # and only this output prints the instance digest.
@@ -274,6 +275,8 @@ def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
         (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2", "--edge-prob", "nan"], "got nan"),
         (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4", "--window-exponent", "-1"], "got -1"),
         (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4", "--window-exponent", "0"], "got 0"),
+        (["compare", "--algs", "oracle", "--dir", "{dir}", "--workers", "0", "-o", "{out}"], "got 0"),
+        (["compare", "--algs", "oracle", "--dir", "{dir}", "--workers", "-5", "-o", "{out}"], "got -5"),
     ],
 )
 def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):
@@ -310,6 +313,24 @@ def test_generate_graph_sources_exclude_each_other(tmp_path, capsys, sources, gi
     assert captured.err.startswith("error:") and f"got {given}" in captured.err
     assert len(captured.err.splitlines()) == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("what", ["mcc-cnf", "mcc-dnf", "mcc-thr"])
+@pytest.mark.parametrize(
+    "sizes, given",
+    [(["--k", "2"], "--k"), (["--n", "2"], "--n"), (["--k", "5", "--n", "7"], "--k, --n")],
+)
+def test_generate_graph_gives_k_and_n(tmp_path, capsys, what, sizes, given):
+    graph = write(tmp_path, "g.mcc", "p mcc 2 2\ne 1 1 2 2\n")
+    out = str(tmp_path / "c.mcsp")
+    assert main(["generate", what, "-o", out, "--graph", graph, *sizes]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f"got {given}" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not os.path.exists(out)
+    assert main(["generate", what, "-o", out, "--graph", graph]) == 0
+    assert "c mcc k=2 n=2 edges=1" in (tmp_path / "c.mcsp").read_text()
 
 
 def test_generate_random_deterministic(tmp_path, capsys):
@@ -617,6 +638,39 @@ def test_compare_unreadable_entry_fails_only_its_rows(tmp_path, capsys):
     ]
 
 
+def test_compare_solver_error_fails_only_its_rows(tmp_path, capsys, monkeypatch):
+    from maxcsp import cnf_approx
+    from maxcsp.errors import LemmaViolationError
+
+    write(tmp_path, "a.mcsp", CNF)
+    write(tmp_path, "b.mcsp", "p mcsp 2 2\no 1 2 0\no -1 0\n")
+    args = [
+        "compare", "--algs", "oracle,cw-as", "--epsilons", "1/4,1/2", "--seed", "7",
+        "--dir", str(tmp_path), "--workers", "1",
+    ]
+    assert main(args + ["-o", str(tmp_path / "good.csv")]) == 0
+    real = cnf_approx.approx_max_cnf
+
+    def failing_on_two_variables(f, *a, **kw):
+        if f.num_vars == 2:
+            raise LemmaViolationError("selection failed")
+        return real(f, *a, **kw)
+
+    monkeypatch.setattr(cnf_approx, "approx_max_cnf", failing_on_two_variables)
+    assert main(args + ["-o", str(tmp_path / "bad.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    good = (tmp_path / "good.csv").read_text().splitlines()
+    bad = (tmp_path / "bad.csv").read_text().splitlines()
+    failed = "b.mcsp,cw-as,"
+    assert [line for line in bad if not line.startswith(failed)] == (
+        [line for line in good if not line.startswith(failed)]
+    )
+    assert [line for line in bad if line.startswith(failed)] == [
+        "b.mcsp,cw-as,1/4,,2,,error:solver,",
+        "b.mcsp,cw-as,1/2,,2,,error:solver,",
+    ]
+
+
 @pytest.mark.parametrize(
     "text, argv, code",
     [
@@ -742,3 +796,91 @@ def test_fvs_exact_small_on_six_variables_and_24_constraints(tmp_path, capsys):
     fields = dict(item.split("=") for item in out.split())
     assert fields["route"] == "exact-small"
     assert fields["value"] == fields["oracle"] == "17"
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "a.mcsp", FOREST)
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for argv in [["solve", path, "--alg", "tree"], ["analyze", path], ["solve", path, "--alg", "vc"]] * 2:
+        assert main(argv) == 0
+    assert len(built) == 1
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    inst.mkdir()
+    mixed = write(inst, "a.mcsp", MIXED)
+    cnf = write(inst, "b.mcsp", CNF)
+    gen = str(tmp_path / "gen.mcsp")
+    table = str(tmp_path / "table.csv")
+    defaults = [
+        ["solve", cnf, "--alg", "cw-as", "--epsilon", "1/4"],
+        ["solve", mixed, "--json", "--alg", "oracle"],
+        ["analyze", mixed],
+        ["generate", "random", "-o", gen],
+        ["compare", "--algs", "oracle,cw-as,fvs-as", "--epsilons", "1/4", "--dir", str(inst), "-o", table],
+    ]
+    others = [
+        ["solve", cnf, "--alg", "cw-as", "--epsilon", "1/2", "--seed", "9", "--trials", "3",
+         "--window-exponent", "2", "--with-oracle", "--timing", "--json"],
+        ["solve", mixed, "--alg", "fvs-as", "--epsilon", "1/2", "--max-fvs", "0"],
+        ["analyze", mixed, "--max-vc", "1", "--max-fvs", "0", "--json"],
+        ["generate", "random", "-o", gen, "--seed", "5", "--num-vars", "4", "--kinds", "AND=1"],
+        ["compare", "--algs", "oracle,cw-as,fvs-as", "--epsilons", "1/2", "--dir", str(inst), "--seed", "3",
+         "--trials", "2", "--oracle-limit", "4", "--workers", "1", "--timing", "-o", table],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = [open(p).read() for p in (gen, table) if p in argv]
+        return code, captured.out, captured.err, written
+
+    alone = []
+    for argv in defaults:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    for argv in others:
+        run(argv)
+    assert [run(argv) for argv in defaults] == alone
+    assert alone[1] == (0, PINNED_SOLVE_JSON[0][2], "", [])
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "{file}"], ["solve", "{file}", "--alg", "best"], ["resolve", "{file}"]]
+)
+def test_usage_errors_repeat_exactly(tmp_path, capsys, argv):
+    argv = [a.format(file=write(tmp_path, "a.mcsp", FOREST)) for a in argv]
+    cli._parser.cache_clear()
+    seen = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        seen.append((exc.value.code, captured.out, captured.err))
+    assert seen[0] == seen[1]
+    code, out, err = seen[0]
+    assert (code, out) == (2, "") and err.startswith("usage: maxcsp")
+
+
+def test_command_wrapper_installed_later_sees_the_next_call(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "a.mcsp", FOREST)
+    assert main(["solve", path, "--alg", "tree"]) == 0
+    seen = []
+    real = cli.cmd_solve
+
+    def recording(args):
+        seen.append(args.alg)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_solve", recording)
+    assert main(["solve", path, "--alg", "oracle"]) == 0
+    assert seen == ["oracle"]
