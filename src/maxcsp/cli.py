@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,9 +47,6 @@ EXIT_RESOURCE = 3
 # Seconds of serial compare work after which the rest goes to a worker pool:
 # about what starting a 2-process pool costs (12-28 ms on a 2-vCPU VM).
 _POOL_AFTER_S = 0.02
-
-ALGORITHMS = ("oracle", "tree", "vc", "fvs-as", "cw-as", "parity-sat")
-EPSILON_ALGS = {"fvs-as", "cw-as"}
 
 
 def _read_text(path: str) -> str:
@@ -122,78 +121,91 @@ def _exact_memo(var_limit: int) -> cnf_approx.ExactBackend:
     """Exact optima of the formulas one command meets, each solved once.
 
     A command builds its own memo, so nothing is cached from one command to
-    the next.  The oracle is looked up on its module at call time, so a
-    wrapper installed there sees every call.
+    the next; a solve that raises is not cached.  The oracle is looked up on
+    its module at call time, so a wrapper installed there sees every call.
     """
-    memo: dict[Formula, oracle.OracleResult] = {}
-
-    def exact(sub: Formula) -> oracle.OracleResult:
-        res = memo.get(sub)
-        if res is None:
-            res = memo[sub] = oracle.max_csp_bruteforce(sub, var_limit=var_limit)
-        return res
-
-    return exact
+    return functools.cache(lambda sub: oracle.max_csp_bruteforce(sub, var_limit=var_limit))
 
 
-def _solve_instance(
-    f: Formula, args: argparse.Namespace, exact: cnf_approx.ExactBackend
-) -> SolveReport:
-    """Run ``args.alg`` on ``f`` and build its report; the one place a
-    report is built, for ``solve`` and ``compare`` alike."""
-    alg = args.alg
-    if alg in EPSILON_ALGS and args.epsilon is None:
+@dataclasses.dataclass(frozen=True)
+class SolveOptions:
+    """Every value a solver reads besides the instance; the defaults are the
+    flags' defaults.  An out-of-range value raises ``MalformedInstanceError``."""
+
+    epsilon: str | None = None
+    seed: int = 0
+    trials: int = cnf_approx.DEFAULT_TRIALS
+    window_exponent: int = cnf_approx.DEFAULT_WINDOW_EXPONENT
+    max_vc: int = structure.DEFAULT_VC_BUDGET
+    max_fvs: int = structure.DEFAULT_FVS_BUDGET
+    oracle_limit: int = oracle.DEFAULT_VAR_LIMIT
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise MalformedInstanceError(f"--trials must be at least 1, got {self.trials}")
+        if self.oracle_limit < 0:
+            raise MalformedInstanceError(f"--oracle-limit must be at least 0, got {self.oracle_limit}")
+
+
+def _solve_vc(f: Formula, budget: int) -> oracle.OracleResult:
+    inc = build_incidence_graph(f)
+    cover = structure.vertex_cover_number(inc.graph, budget)
+    if cover.exceeded:
+        raise ResourceLimitError(f"no incidence vertex cover within budget {budget}; raise --max-vc")
+    return cover_solver.solve_via_vertex_cover(f, inc.split(cover.witness))
+
+
+def _solve_parity(f: Formula) -> oracle.OracleResult:
+    """All constraints when the system is consistent, else none."""
+    if any(c.kind is not Kind.PARITY for c in f.constraints):
+        raise PreconditionError("parity-sat requires a pure PARITY instance")
+    satisfiable, witness = oracle.parity_gauss_satisfiable(f)
+    return oracle.OracleResult(f.num_constraints if satisfiable else 0, witness)
+
+
+# Each ``--alg`` name and its solver, (formula, SolveOptions, exact backend) ->
+# OracleResult, for ``solve`` and ``compare`` alike.  An entry looks its solver
+# up when it runs, so a wrapper installed on the solver's module sees every call.
+SOLVERS = {
+    "oracle": lambda f, o, exact: exact(f),
+    "tree": lambda f, o, exact: solve_forest(f),
+    "vc": lambda f, o, exact: _solve_vc(f, o.max_vc),
+    "fvs-as": lambda f, o, exact: fvs_solver.solve_with_fvs_search(f, o.epsilon, o.max_fvs),
+    "cw-as": lambda f, o, exact: cnf_approx.approx_max_cnf(
+        f, o.epsilon, seed=o.seed, trials=o.trials, window_exponent=o.window_exponent,
+        exact_backend=exact, backend_var_limit=o.oracle_limit,
+    ),
+    "parity-sat": lambda f, o, exact: _solve_parity(f),
+}
+# the approximation schemes, which need an epsilon
+EPSILON_ALGS = frozenset(name for name in SOLVERS if name.endswith("-as"))
+
+
+def _solve_instance(f: Formula, alg: str, options: SolveOptions, exact: cnf_approx.ExactBackend) -> SolveReport:
+    """Run ``alg`` on ``f`` and build its report; the one place a report is
+    built, for ``solve`` and ``compare`` alike."""
+    if alg in EPSILON_ALGS and options.epsilon is None:
         raise PreconditionError(f"--epsilon is required for {alg}")
-    satisfiable = None
-    if alg == "oracle":
-        res = exact(f)
-    elif alg == "tree":
-        res = solve_forest(f)
-    elif alg == "vc":
-        inc = build_incidence_graph(f)
-        cover = structure.vertex_cover_number(inc.graph, args.max_vc)
-        if cover.exceeded:
-            raise ResourceLimitError(
-                f"no incidence vertex cover within budget {args.max_vc}; raise --max-vc"
-            )
-        res = cover_solver.solve_via_vertex_cover(f, inc.split(cover.witness))
-    elif alg == "fvs-as":
-        res = fvs_solver.solve_with_fvs_search(f, args.epsilon, args.max_fvs)
-    elif alg == "cw-as":
-        res = cnf_approx.approx_max_cnf(
-            f,
-            args.epsilon,
-            seed=args.seed,
-            trials=args.trials,
-            window_exponent=args.window_exponent,
-            exact_backend=exact,
-            backend_var_limit=args.oracle_limit,
-        )
-    elif alg == "parity-sat":
-        if any(c.kind is not Kind.PARITY for c in f.constraints):
-            raise PreconditionError("parity-sat requires a pure PARITY instance")
-        satisfiable, witness = oracle.parity_gauss_satisfiable(f)
-        res = oracle.OracleResult(f.num_constraints if satisfiable else 0, witness)
-    else:
-        raise PreconditionError(f"unknown algorithm {alg!r}")
+    res = SOLVERS[alg](f, options, exact)
     # epsilon is parsed only now, so the solver's own checks set the exit code
     return SolveReport(
         algorithm=alg,
         value=res.value,
         witness=res.witness,
-        epsilon=parse_fraction(args.epsilon) if alg in EPSILON_ALGS else None,
-        seed=args.seed if alg == "cw-as" else None,
-        trials=args.trials if alg == "cw-as" else None,
+        epsilon=parse_fraction(options.epsilon) if alg in EPSILON_ALGS else None,
+        seed=options.seed if alg == "cw-as" else None,
+        trials=options.trials if alg == "cw-as" else None,
         route=res.route,
-        satisfiable=satisfiable,
+        satisfiable=res.value == f.num_constraints if alg == "parity-sat" else None,
     )
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    options = SolveOptions(**{field.name: getattr(args, field.name) for field in dataclasses.fields(SolveOptions)})
     f = parse_instance(_read_text(args.file))
-    exact = _exact_memo(args.oracle_limit)
+    exact = _exact_memo(options.oracle_limit)
     started = time.perf_counter()
-    report = _solve_instance(f, args, exact)
+    report = _solve_instance(f, args.alg, options, exact)
     report.wall_time_ms = (time.perf_counter() - started) * 1000.0
     if args.with_oracle:
         try:
@@ -308,31 +320,21 @@ def _compare_task(task: tuple) -> list[tuple]:
     row, cw-as projections, the oracle_opt column) goes through one memo.
     A file that does not parse or cannot be read fails only its own rows.
     """
-    path, name, runs, seed, trials, oracle_limit = task
+    path, name, runs, options = task
     try:
         f = parse_instance(_read_text(path))
     except (ParseError, MalformedInstanceError, OSError):
         return [(name, alg, eps or "", None, None, "", "error:parse", None) for alg, eps in runs]
-    exact = _exact_memo(oracle_limit)
+    exact = _exact_memo(options.oracle_limit)
     solved = []
     # The oracle row runs first, so its time_ms holds the exact solve that
     # the other rows reuse.
     for alg, eps_str in sorted(runs, key=lambda run: run[0] != "oracle"):
-        ns = argparse.Namespace(
-            alg=alg,
-            epsilon=eps_str,
-            seed=seed,
-            trials=trials,
-            oracle_limit=oracle_limit,
-            max_vc=structure.DEFAULT_VC_BUDGET,
-            max_fvs=structure.DEFAULT_FVS_BUDGET,
-            window_exponent=cnf_approx.DEFAULT_WINDOW_EXPONENT,
-        )
         started = time.perf_counter()
         status = "ok"
         report: SolveReport | None = None
         try:
-            report = _solve_instance(f, ns, exact)
+            report = _solve_instance(f, alg, dataclasses.replace(options, epsilon=eps_str), exact)
         except PreconditionError:
             status = "error:precondition"
         except ResourceLimitError:
@@ -357,13 +359,12 @@ def _compare_task(task: tuple) -> list[tuple]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    import os
-
     if args.workers < 1:
         raise MalformedInstanceError(f"--workers must be at least 1, got {args.workers}")
+    options = SolveOptions(seed=args.seed, trials=args.trials, oracle_limit=args.oracle_limit)
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     for a in algs:
-        if a not in ALGORITHMS:
+        if a not in SOLVERS:
             raise PreconditionError(f"unknown algorithm {a!r}")
     epsilons = [
         fraction_str(parse_fraction(e.strip()))
@@ -377,10 +378,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if files and missing:
         raise PreconditionError(f"{missing[0]} requires --epsilons")
     runs = [(alg, eps) for alg in algs for eps in (epsilons if alg in EPSILON_ALGS else [None])]
-    tasks = [
-        (os.path.join(args.dir, name), name, runs, args.seed, args.trials, args.oracle_limit)
-        for name in files
-    ]
+    tasks = [(os.path.join(args.dir, name), name, runs, options) for name in files]
     # Serial first: the pool starts only once the tasks run so far have
     # taken longer than starting it costs, and never for a single task left.
     rows: list[tuple] = []
@@ -428,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one solver on one instance")
     p.add_argument("file")
-    p.add_argument("--alg", choices=ALGORITHMS, required=True)
+    p.add_argument("--alg", choices=tuple(SOLVERS), required=True)
     p.add_argument("--epsilon", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=cnf_approx.DEFAULT_TRIALS)

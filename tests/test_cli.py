@@ -277,6 +277,12 @@ def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
         (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4", "--window-exponent", "0"], "got 0"),
         (["compare", "--algs", "oracle", "--dir", "{dir}", "--workers", "0", "-o", "{out}"], "got 0"),
         (["compare", "--algs", "oracle", "--dir", "{dir}", "--workers", "-5", "-o", "{out}"], "got -5"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4", "--trials", "0"], "trials must be at least 1, got 0"),
+        (["compare", "--algs", "cw-as", "--epsilons", "1/4", "--dir", "{dir}", "--trials", "0", "-o", "{out}"],
+         "trials must be at least 1, got 0"),
+        (["solve", "{file}", "--alg", "oracle", "--oracle-limit", "-1"], "oracle-limit must be at least 0, got -1"),
+        (["compare", "--algs", "oracle", "--dir", "{dir}", "--oracle-limit", "-1", "-o", "{out}"],
+         "oracle-limit must be at least 0, got -1"),
     ],
 )
 def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):
@@ -748,6 +754,52 @@ def test_compare_solves_each_formula_once_and_matches_solve(tmp_path, capsys, mo
         code, text = run_cli(capsys, "solve", "--alg", "oracle", path, "--json")
         assert row["oracle_opt"] == str(json.loads(text)["value"])
         assert row["status"] == "ok"
+
+
+# 21 clauses on which cw-as at epsilon 1/2 and seed 0 satisfies 19 with one
+# or two trials and 20 with the default eight
+CNF_TRIALS = "p mcsp 6 21\n" + "".join(
+    f"o {c} 0\n"
+    for c in (
+        "5 -1 2 -4", "-1 -5", "2", "1 -4 -2", "3 -6 4 -1", "4 -2", "-1 -5 6 4", "-5 3 2", "4 -6 1 3", "-2 -4",
+        "-4", "5", "-2", "5 2 1", "-4", "3 -4", "2 -3 6 -5", "4 3 2", "2 -4", "4 2 -1", "-3 -2 -1",
+    )
+)
+# (instance, epsilon) per solver: a threshold forest for the exact solvers, a
+# cyclic threshold instance with incidence FVS 2 for fvs-as, so its budget
+# matters, a CNF for cw-as and a PARITY system for parity-sat
+SOLVER_CASES = {
+    "oracle": ("forest", None),
+    "tree": ("forest", None),
+    "vc": ("forest", None),
+    "fvs-as": (THRESHOLD_MIX, "1/4"),
+    "cw-as": (CNF_TRIALS, "1/2"),
+    "parity-sat": (PARITY_SAT, None),
+}
+
+
+@pytest.mark.parametrize("alg", list(cli.SOLVERS))
+def test_compare_value_equals_solve_for_every_solver(tmp_path, capsys, alg):
+    # compare builds its options without solve's flags, so a budget or
+    # default that differs from solve's shows as a failed row or another value
+    import csv
+    import random as random_mod
+
+    from helpers import random_forest_formula
+
+    text, epsilon = SOLVER_CASES[alg]
+    if text == "forest":
+        text = serialize_instance(random_forest_formula(random_mod.Random(17), max_vars=10, max_cons=8))
+    path = write(tmp_path, "a.mcsp", text)
+    eps = [] if epsilon is None else ["--epsilon", epsilon]
+    code, out = run_cli(capsys, "solve", path, "--alg", alg, "--json", *eps)
+    assert code == 0
+    csv_path = tmp_path / "out.csv"
+    argv = ["compare", "--algs", alg, "--dir", str(tmp_path), "--workers", "1", "-o", str(csv_path), *eps]
+    assert main(argv) == 0
+    [row] = csv.DictReader(csv_path.open())
+    assert row["status"] == "ok"
+    assert row["value"] == str(json.loads(out)["value"])
 
 
 def test_non_ascii_input_is_a_parse_error(tmp_path, capsys):
