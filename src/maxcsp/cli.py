@@ -361,11 +361,11 @@ def _compare_task(task: tuple) -> list[tuple]:
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise MalformedInstanceError(f"--workers must be at least 1, got {args.workers}")
-    options = SolveOptions(seed=args.seed, trials=args.trials, oracle_limit=args.oracle_limit)
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     for a in algs:
         if a not in SOLVERS:
             raise PreconditionError(f"unknown algorithm {a!r}")
+    options = SolveOptions(seed=args.seed, trials=args.trials, oracle_limit=args.oracle_limit)
     epsilons = [
         fraction_str(parse_fraction(e.strip()))
         for e in (args.epsilons.split(",") if args.epsilons else [])

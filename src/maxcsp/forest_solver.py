@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ContractViolationError, PreconditionError
-from .graphs import bfs_tree, build_incidence_graph, is_acyclic
+from .graphs import bfs_tree, build_incidence_graph, find_cycle
 from .model import Assignment, Formula, Kind, as_threshold_formula
 from .oracle import OracleResult
 
@@ -44,7 +44,7 @@ def peel_forest(f: Formula) -> PeelOutcome:
     except ContractViolationError as exc:
         raise PreconditionError(str(exc)) from exc
     inc = build_incidence_graph(thr)
-    if not is_acyclic(inc.graph):
+    if find_cycle(inc.graph) is not None:
         raise PreconditionError("incidence graph contains a cycle")
 
     n, m = thr.num_vars, thr.num_constraints

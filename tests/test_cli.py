@@ -281,6 +281,8 @@ def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
         (["compare", "--algs", "cw-as", "--epsilons", "1/4", "--dir", "{dir}", "--trials", "0", "-o", "{out}"],
          "trials must be at least 1, got 0"),
         (["solve", "{file}", "--alg", "oracle", "--oracle-limit", "-1"], "oracle-limit must be at least 0, got -1"),
+        # the options are checked whatever the algorithm, also one that reads none of them
+        (["solve", "{file}", "--alg", "tree", "--trials", "0"], "trials must be at least 1, got 0"),
         (["compare", "--algs", "oracle", "--dir", "{dir}", "--oracle-limit", "-1", "-o", "{out}"],
          "oracle-limit must be at least 0, got -1"),
     ],
@@ -561,6 +563,15 @@ def test_generate_readme_thr2maj_chain(tmp_path, capsys):
     f = parse_instance((tmp_path / "m.mcsp").read_text())
     assert f.num_constraints > 0
     assert all(c.kind is Kind.MAJORITY for c in f.constraints)
+
+
+def test_compare_unknown_algorithm_is_reported_before_bad_options(tmp_path, capsys):
+    write(tmp_path, "a.mcsp", FOREST)
+    out = tmp_path / "out.csv"
+    code = main(["compare", "--algs", "bogus", "--dir", str(tmp_path), "--trials", "0", "-o", str(out)])
+    assert code == 2
+    assert "unknown algorithm 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_cw_as_on_non_cnf_is_precondition_error(tmp_path, capsys):
