@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import cnf_approx, cover_solver, fvs_solver, oracle, reductions, structure
@@ -387,6 +386,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         rows += _compare_task(task)
         left = len(tasks) - i - 1
         if args.workers > 1 and left > 1 and time.perf_counter() - started >= _POOL_AFTER_S:
+            # imported here, so the other commands never load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(args.workers, left)) as pool:
                 for task_rows in pool.map(_compare_task, tasks[i + 1 :]):
                     rows += task_rows

@@ -8,25 +8,30 @@ argument: variables with identical occurrence patterns are interchangeable,
 so only the number set to true per pattern matters.  A residual whose
 constraints cannot all hold and whose occurring variables fit one oracle
 chunk has those variables' assignments enumerated instead of its smaller
-subsets (see ``residual_exact_max``).
+subsets (see ``residual_exact_max``, which runs under a node budget).
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Callable, Sequence
 
-from .errors import ContractViolationError, PreconditionError
+from .errors import ContractViolationError, PreconditionError, ResourceLimitError
 from .graphs import VertexSplit, check_split_range
 from .model import (
     Assignment,
     Constraint,
     Formula,
     as_threshold_formula,
-    count_satisfied,
+    satisfied_counter,
     simplify_fix_variable,
 )
 from .oracle import OracleResult, _SatisfiedCounts
+
+# Type-class search nodes (``feasible_true_counts``) that one
+# ``residual_exact_max`` call may visit in all: about 30 times the largest
+# total of the test suite and the benchmark corpora at seeds 0-3 (3 318).
+RESIDUAL_NODE_BUDGET = 100_000
 
 
 def _occurrence_maps(num_vars: int, constraints: Sequence[Constraint]) -> list[dict[int, int]]:
@@ -59,6 +64,7 @@ def feasible_true_counts(
     num_vars: int,
     constraints: Sequence[Constraint],
     groups: dict[tuple[int, ...], list[int]] | None = None,
+    visit: Callable[[], None] | None = None,
 ) -> dict[tuple[int, ...], int] | None:
     """Search for per-type-class counts of true variables satisfying every constraint.
 
@@ -66,7 +72,8 @@ def feasible_true_counts(
     its threshold.  Complete backtracking over the classes with interval
     pruning on each constraint's reachable satisfied-literal count; classes
     are visited in sorted vector order and counts tried in increasing order,
-    so the first solution is deterministic.
+    so the first solution is deterministic.  ``visit`` is called at every
+    search node, so a caller can count them.
     """
     k = len(constraints)
     if groups is None:
@@ -95,6 +102,8 @@ def feasible_true_counts(
     chosen: dict[tuple[int, ...], int] = {}
 
     def rec(ci: int, sat: list[int]) -> bool:
+        if visit is not None:
+            visit()
         if any(sat[i] + suffix_gain[ci][i] < targets[i] for i in range(k)):
             return False
         if ci == len(vectors):
@@ -132,11 +141,15 @@ def _selection_to_assignment(
 
 
 def _subset_witness(
-    thr: Formula, occ: Sequence[dict[int, int]], variables: Sequence[int], subset: Sequence[int]
+    thr: Formula,
+    occ: Sequence[dict[int, int]],
+    variables: Sequence[int],
+    subset: Sequence[int],
+    visit: Callable[[], None],
 ) -> Assignment | None:
     """An assignment satisfying every constraint of ``subset``, or None."""
     groups = _group_by_type(occ, variables, subset)
-    selection = feasible_true_counts(thr.num_vars, [thr.constraints[j] for j in subset], groups)
+    selection = feasible_true_counts(thr.num_vars, [thr.constraints[j] for j in subset], groups, visit)
     if selection is None:
         return None
     return _selection_to_assignment(thr.num_vars, groups, selection)
@@ -156,20 +169,34 @@ def residual_exact_max(f: Formula) -> OracleResult:
     subset, so the first feasible subset is the first of the maximisers'
     satisfied sets in the same order, and its witness comes from the same
     type-class search.
+
+    The type-class searches of one call visit at most
+    ``RESIDUAL_NODE_BUDGET`` nodes in all; one more raises
+    ``ResourceLimitError``.
     """
     thr = as_threshold_formula(f)
     m = thr.num_constraints
     occ = _occurrence_maps(thr.num_vars, thr.constraints)
     relevant = [x for x in range(1, thr.num_vars + 1) if occ[x]]
+    nodes = 0
+
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > RESIDUAL_NODE_BUDGET:
+            raise ResourceLimitError(
+                f"residual of {m} constraints over {len(relevant)} variables needs more than "
+                f"{RESIDUAL_NODE_BUDGET} search nodes"
+            )
     for size in range(m, -1, -1):
         if size < m and _SatisfiedCounts.one_chunk(len(relevant)):
             subset = _SatisfiedCounts(thr.constraints, relevant).first_max_satisfied_set()
-            witness = _subset_witness(thr, occ, relevant, subset)
+            witness = _subset_witness(thr, occ, relevant, subset, visit)
             if witness is None:
                 raise AssertionError("a maximiser's satisfied set failed the subset search")
             return OracleResult(len(subset), witness)
         for subset in combinations(range(m), size):
-            witness = _subset_witness(thr, occ, relevant, subset)
+            witness = _subset_witness(thr, occ, relevant, subset, visit)
             if witness is not None:
                 return OracleResult(size, witness)
     raise AssertionError("the empty subset is always feasible")
@@ -203,8 +230,10 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     the k cover variables in one pass of the oracle's satisfied-count
     kernel, whose index order is ``product`` order.  The residual of the
     covered constraints depends only on the cover variables that occur in
-    it, so it is solved once per assignment of those.  The first assignment
-    in ``product`` order with the largest total wins.
+    it, so it is solved once per assignment of those.  Every assignment's
+    witness is re-counted on the whole formula with ``satisfied_counter``,
+    independently of the kernel, and the first assignment in ``product``
+    order with the largest total wins.
     """
     try:
         thr = as_threshold_formula(f)
@@ -221,35 +250,41 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     fixed_counts = chain.from_iterable(
         kernel.counts(high).tolist() for high in range(kernel.num_chunks)
     )
-    # positions in sigma of the cover variables the residual depends on
+    # Assignments are bitsets, bit x - 1 for variable x.  sigmas lists the
+    # cover assignments in ``product`` order; a residual depends only on the
+    # cover variables that occur in covered constraints.
+    cover_mask = sum(1 << (x - 1) for x in cover_vars)
     in_covered = {lit.var for c in covered for lit in c.literals}
-    keyed = [p for p, x in enumerate(cover_vars) if x in in_covered]
+    keyed = [x for x in cover_vars if x in in_covered]
+    keyed_mask = sum(1 << (x - 1) for x in keyed)
+    sigmas = [0]
+    for x in cover_vars:
+        sigmas = [s | b for s in sigmas for b in (0, 1 << (x - 1))]
+    count = satisfied_counter(thr)
 
-    residuals: dict[tuple[int, ...], tuple[int, OracleResult]] = {}
+    residuals: dict[int, tuple[int, int]] = {}  # key -> residual total, witness off the cover
     best_value = -1
-    best_witness: Assignment | None = None
-    for fixed_count, sigma in zip(fixed_counts, product((0, 1), repeat=len(cover_vars))):
-        key = tuple(sigma[p] for p in keyed)
+    best = 0
+    for fixed_count, sigma in zip(fixed_counts, sigmas):
+        key = sigma & keyed_mask
         solved = residuals.get(key)
         if solved is None:
             residual = Formula(thr.num_vars, covered)
             delta = 0
-            for p, v in zip(keyed, key):
-                residual, d = simplify_fix_variable(residual, cover_vars[p], v)
+            for x in keyed:
+                residual, d = simplify_fix_variable(residual, x, key >> (x - 1) & 1)
                 delta += d
-            solved = residuals[key] = (delta, residual_exact_max(residual))
-        delta, sub = solved
+            sub = residual_exact_max(residual)
+            rest = sum(b << i for i, b in enumerate(sub.witness.bits)) & ~cover_mask
+            solved = residuals[key] = (delta + sub.value, rest)
+        residual_total, rest = solved
 
-        total = fixed_count + delta + sub.value
-        bits = list(sub.witness.bits)
-        for x, v in zip(cover_vars, sigma):
-            bits[x - 1] = v
-        witness = Assignment(tuple(bits))
-        if count_satisfied(thr, witness) != total:
+        total = fixed_count + residual_total
+        if count(rest | sigma) != total:
             raise AssertionError("cover solver bookkeeping mismatch")
         if total > best_value:
             best_value = total
-            best_witness = witness
-    if best_witness is None:
+            best = rest | sigma
+    if best_value < 0:
         raise AssertionError("no cover assignment scored")
-    return OracleResult(best_value, best_witness)
+    return OracleResult(best_value, Assignment(tuple(best >> i & 1 for i in range(thr.num_vars))))

@@ -12,7 +12,7 @@ from .model import Formula
 class Graph:
     """Immutable simple undirected graph on vertices 0..num_vertices-1."""
 
-    __slots__ = ("num_vertices", "adj", "sorted_adj")
+    __slots__ = ("num_vertices", "adj", "sorted_adj", "_masks")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
         if num_vertices < 0:
@@ -30,6 +30,15 @@ class Graph:
         self.sorted_adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj
         )
+        self._masks: tuple[int, ...] | None = None
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Per vertex v, the bitset of its neighbours (bit w is set when vw
+        is an edge); built on first use, since most graphs never need it."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << w for w in s) for s in self.adj)
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -73,6 +82,46 @@ class TwoCore:
         child.graph, child.dead, child.degree = self.graph, set(self.dead), self.degree.copy()
         child._delete([v])
         return child
+
+    def short_cycle(self) -> list[int] | None:
+        """A short cycle of the core, or None when the core is empty.
+
+        Runs a BFS from each core vertex, over the core only, and keeps the
+        shortest cycle closed by a non-tree edge; scanning stops once a
+        cycle of length four is in hand (short enough for branching).
+        Deterministic for a fixed graph and core.
+        """
+        g, dead = self.graph, self.dead
+        best: list[int] | None = None
+        for root in range(g.num_vertices):
+            if root in dead:
+                continue
+            depth = {root: 0}
+            parent: dict[int, int | None] = {root: None}
+            frontier = [root]
+            found: list[int] | None = None
+            while frontier and found is None:
+                nxt = []
+                for u in frontier:
+                    for w in g.sorted_adj[u]:
+                        if w in dead:
+                            continue
+                        if w not in depth:
+                            depth[w] = depth[u] + 1
+                            parent[w] = u
+                            nxt.append(w)
+                        elif parent[u] != w and parent.get(w) != u:
+                            found = _close_cycle(u, w, parent)
+                            if found is not None:
+                                break
+                    if found is not None:
+                        break
+                frontier = nxt
+            if found is not None and (best is None or len(found) < len(best)):
+                best = found
+                if len(best) <= 4:
+                    return best
+        return best
 
     def _delete(self, stack: list[int]) -> None:
         # Delete the stacked vertices, then every vertex whose degree drops
@@ -120,45 +169,9 @@ def find_cycle(g: Graph, removed: Iterable[int] = frozenset()) -> list[int] | No
     """Return the vertex list of a short cycle, or None if the graph is a forest.
 
     Peels G − removed to its 2-core first, so a forest costs one linear
-    pass.  Otherwise runs a BFS from each core vertex, over the core only,
-    and keeps the shortest cycle closed by a non-tree edge; scanning stops
-    once a cycle of length four is in hand (short enough for branching).
-    Deterministic for a fixed graph.
+    pass, then runs ``TwoCore.short_cycle`` on the core.
     """
-    core = TwoCore(g, removed)
-    if core.is_empty:
-        return None
-    dead = core.dead
-    best: list[int] | None = None
-    for root in range(g.num_vertices):
-        if root in dead:
-            continue
-        depth = {root: 0}
-        parent: dict[int, int | None] = {root: None}
-        frontier = [root]
-        found: list[int] | None = None
-        while frontier and found is None:
-            nxt = []
-            for u in frontier:
-                for w in g.sorted_adj[u]:
-                    if w in dead:
-                        continue
-                    if w not in depth:
-                        depth[w] = depth[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and parent.get(w) != u:
-                        found = _close_cycle(u, w, parent)
-                        if found is not None:
-                            break
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None and (best is None or len(found) < len(best)):
-            best = found
-            if len(best) <= 4:
-                return best
-    return best
+    return TwoCore(g, removed).short_cycle()
 
 
 def _close_cycle(u: int, w: int, parent: dict[int, int | None]) -> list[int] | None:

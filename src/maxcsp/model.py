@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ContractViolationError, MalformedInstanceError
 
@@ -222,6 +222,34 @@ def count_satisfied(f: Formula, a: Assignment) -> int:
         )
     bits = a.bits
     return sum(1 for c in f.constraints if _holds(c, bits))
+
+
+def satisfied_counter(f: Formula) -> Callable[[int], int]:
+    """``count(x)``: the number of constraints of ``f`` that the assignment
+    ``x`` satisfies, where bit i − 1 of the int ``x`` is variable i.
+
+    Each constraint's positive and negative literal sets become bitsets
+    once, so one count costs two popcounts per constraint.  A constraint
+    holds when its true literals, (x & pos) + |neg| − (x & neg) counted in
+    bits, reach its threshold; a PARITY constraint when the parity of
+    x & (pos | neg) plus |neg| is its right-hand side.
+    """
+    geq: list[tuple[int, int, int]] = []  # pos, neg, threshold less |neg|
+    odd: list[tuple[int, int]] = []  # pos | neg, the parity that holds
+    for c in f.constraints:
+        pos = sum(1 << (var - 1) for var, positive in c.literals if positive)
+        neg = sum(1 << (var - 1) for var, positive in c.literals if not positive)
+        if c.kind is Kind.PARITY:
+            odd.append((pos | neg, c.parity_rhs ^ (neg.bit_count() & 1)))  # type: ignore[operator]
+        else:
+            geq.append((pos, neg, c.effective_threshold() - neg.bit_count()))
+
+    def count(x: int) -> int:
+        return sum((x & pos).bit_count() - (x & neg).bit_count() >= need for pos, neg, need in geq) + sum(
+            (x & lits).bit_count() & 1 == rhs for lits, rhs in odd
+        )
+
+    return count
 
 
 def normalize_parity(c: Constraint) -> Constraint:

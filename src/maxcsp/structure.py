@@ -2,7 +2,9 @@
 
 Neighborhood diversity is exact and polynomial.  Vertex cover and feedback
 vertex set are exact but exponential, so both run under a budget and report
-when the budget is exceeded instead of searching unboundedly.
+when the budget is exceeded instead of searching unboundedly.  The twin
+classes and the vertex-cover search read the graph's adjacency bitsets
+(``Graph.masks``); the FVS search keeps a 2-core per node.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedInstanceError
-from .graphs import Graph, TwoCore, find_cycle, is_acyclic
+from .graphs import Graph, TwoCore, is_acyclic
 
 DEFAULT_VC_BUDGET = 16
 DEFAULT_FVS_BUDGET = 12
@@ -58,28 +60,25 @@ def neighborhood_diversity(g: Graph) -> NdPartition:
 
     Twin equivalence yields the unique coarsest partition into clique or
     independent-set modules, so the class count is the neighborhood
-    diversity.
+    diversity.  Non-adjacent twins share their open neighbourhood N(v) and
+    adjacent twins their closed one N[v], so one lookup of each per vertex
+    finds its class; classes come in order of their smallest vertex.
     """
-    n = g.num_vertices
-    assigned = [False] * n
-    classes: list[tuple[int, ...]] = []
-    for u in range(n):
-        if assigned[u]:
-            continue
-        cls = [u]
-        assigned[u] = True
-        for v in range(u + 1, n):
-            if not assigned[v] and g.adj[u] - {v} == g.adj[v] - {u}:
-                cls.append(v)
-                assigned[v] = True
-        classes.append(tuple(cls))
-    kinds = []
-    for cls in classes:
-        if len(cls) == 1:
-            kinds.append("independent")
-        else:
-            kinds.append("clique" if cls[1] in g.adj[cls[0]] else "independent")
-    return NdPartition(tuple(classes), tuple(kinds))
+    by_open: dict[int, list[int]] = {}
+    by_closed: dict[int, list[int]] = {}
+    classes: list[list[int]] = []
+    for u, nbrs in enumerate(g.masks):
+        closed = nbrs | 1 << u
+        cls = by_open.get(nbrs) or by_closed.get(closed)
+        if cls is None:
+            cls = []
+            classes.append(cls)
+        cls.append(u)
+        by_open[nbrs] = by_closed[closed] = cls
+    kinds = tuple(
+        "clique" if len(cls) > 1 and cls[1] in g.adj[cls[0]] else "independent" for cls in classes
+    )
+    return NdPartition(tuple(map(tuple, classes)), kinds)
 
 
 def is_vertex_cover(g: Graph, vertices) -> bool:
@@ -94,38 +93,50 @@ def is_feedback_vertex_set(g: Graph, vertices) -> bool:
 def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedResult:
     """Exact minimum vertex cover if its size is within the budget.
 
-    Bounded branching: pick the lexicographically first uncovered edge and
-    branch on its two endpoints.  Ties between optimal witnesses go to the
-    lexicographically smallest vertex set.
+    Bounded branching on bitsets: pick the lexicographically first
+    uncovered edge and branch on its two endpoints.  A greedy maximal
+    matching of the uncovered edges (in vertex order, so its first edge is
+    the branched one) bounds what any cover below a node still needs, and
+    the node is pruned when the cover so far plus that matching exceeds the
+    budget or the incumbent's size.  Both tests are strict and every minimal
+    cover is the leaf of the branch that always picks its own endpoint, so
+    every minimum cover within the budget is reached and ties between
+    optimal witnesses go to the lexicographically smallest vertex set.
     """
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
-    edges = g.edge_list()
+    masks = g.masks
+    touched = sum(1 << v for v, m in enumerate(masks) if m)
     best: list = [None, None]  # size, witness
 
-    def first_uncovered(chosen: set[int]) -> tuple[int, int] | None:
-        for u, v in edges:
-            if u not in chosen and v not in chosen:
-                return u, v
-        return None
-
-    def rec(chosen: set[int]) -> None:
-        edge = first_uncovered(chosen)
+    def rec(chosen: int, size: int) -> None:
+        # greedy matching of the uncovered edges over the unchosen vertices
+        free = touched & ~chosen
+        matched = 0
+        edge = None
+        while free:
+            low = free & -free
+            u = low.bit_length() - 1
+            nbrs = masks[u] & free
+            free ^= low
+            if nbrs:
+                w = nbrs & -nbrs
+                free ^= w
+                matched += 1
+                if edge is None:
+                    edge = (u, w.bit_length() - 1)
         if edge is None:
-            cand = tuple(sorted(chosen))
-            if best[0] is None or (len(cand), cand) < (best[0], best[1]):
-                best[0], best[1] = len(cand), cand
+            cand = tuple(v for v in range(g.num_vertices) if chosen >> v & 1)
+            if best[0] is None or (size, cand) < (best[0], best[1]):
+                best[0], best[1] = size, cand
             return
-        if len(chosen) >= budget:
-            return
-        if best[0] is not None and len(chosen) + 1 > best[0]:
+        bound = size + matched
+        if bound > budget or (best[0] is not None and bound > best[0]):
             return
         for w in edge:
-            chosen.add(w)
-            rec(chosen)
-            chosen.remove(w)
+            rec(chosen | 1 << w, size + 1)
 
-    rec(set())
+    rec(0, 0)
     return BudgetedResult(best[0], best[1], budget)
 
 
@@ -135,14 +146,15 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
     Complete bounded-depth search: find a short cycle and branch on each of
     its vertices.  Every node carries the 2-core of G − chosen, updated
     incrementally by the degree-at-most-one deletion rule, so a node whose
-    core is empty is a leaf without a cycle search.  The greedy FVS of
-    ``fvs_bounds`` is the first incumbent when it fits the budget, and a
-    node is pruned when ``len(chosen)`` plus the core's cycle-rank bound
-    exceeds the budget or the incumbent's size.  Both tests are strict and
-    every FVS contains a vertex of the branched cycle, so every minimum FVS
-    is still reached and ties between optimal witnesses go to the
-    lexicographically smallest vertex set.  Previously explored deletion
-    sets are memoized.
+    core is empty is a leaf without a cycle search, and the cycle search
+    (``TwoCore.short_cycle``) runs on that core without peeling again.  The
+    greedy FVS of ``fvs_bounds`` is the first incumbent when it fits the
+    budget, and a node is pruned when ``len(chosen)`` plus the core's
+    cycle-rank bound exceeds the budget or the incumbent's size.  Both tests
+    are strict and every FVS contains a vertex of the branched cycle, so
+    every minimum FVS is still reached and ties between optimal witnesses go
+    to the lexicographically smallest vertex set.  Previously explored
+    deletion sets are memoized.
     """
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
@@ -161,7 +173,7 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
         bound = len(chosen) + _cycle_rank_bound(core)
         if bound > budget or (best[0] is not None and bound > best[0]):
             return
-        for v in sorted(find_cycle(g, core.dead)):
+        for v in sorted(core.short_cycle()):
             child = chosen | {v}
             if child not in seen:
                 rec(child, core.without(v))

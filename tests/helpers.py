@@ -154,6 +154,36 @@ def brute_min_vertex_cover(g: Graph, max_size: int) -> int | None:
     return None
 
 
+def brute_lex_min_vertex_cover(g: Graph, max_size: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest minimum vertex cover, by enumeration.
+
+    Subsets come by size, then in lexicographic order, so the first one
+    that touches every edge is the answer.
+    """
+    edges = g.edge_list()
+    for size in range(0, max_size + 1):
+        for subset in itertools.combinations(range(g.num_vertices), size):
+            s = set(subset)
+            if all(u in s or v in s for u, v in edges):
+                return subset
+    return None
+
+
+def twin_classes(g: Graph) -> list[tuple[int, ...]]:
+    """Twin classes by the definition, pairwise: u and v are twins when
+    N(u) - {v} == N(v) - {u}; classes in order of their smallest vertex."""
+    classes: list[list[int]] = []
+    for v in range(g.num_vertices):
+        for cls in classes:
+            u = cls[0]
+            if g.adj[u] - {v} == g.adj[v] - {u}:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return [tuple(cls) for cls in classes]
+
+
 def brute_min_fvs(g: Graph, max_size: int) -> int | None:
     from maxcsp import is_feedback_vertex_set
 

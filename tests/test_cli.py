@@ -1,7 +1,9 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -15,7 +17,7 @@ from maxcsp import (
     parse_instance,
     serialize_instance,
 )
-from maxcsp import cli
+from maxcsp import cli, cover_solver
 from maxcsp.cli import main
 
 FOREST = "p mcsp 2 3\nt 1 1 2 0\nt 1 -1 0\nt 1 -2 0\n"
@@ -257,6 +259,86 @@ def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
     assert json.loads(out)["instance_digest"] == instance_digest(parse_instance(text))
 
 
+# a six-variable THRESHOLD/MAJORITY instance and a planted-cover instance, as in
+# the benchmark's exact-residual corpus
+SIX_VARIABLE = (
+    "p mcsp 6 16\nt 1 -2 -6 0\nm -4 3 1 -6 0\nm 2 -1 0\nm 6 5 0\nm 6 -5 -4 -2 0\nm 1 3 -5 0\n"
+    "m -2 1 4 5 0\nt 1 -3 -2 0\nt 1 3 -1 5 -6 0\nt 1 -3 -5 -2 0\nm 3 6 1 0\nm -5 -2 -3 -4 0\n"
+    "t 2 -5 2 3 0\nm -2 5 -6 4 0\nt 1 1 5 0\nm 3 6 1 0\n"
+)
+PLANTED_COVER = "p mcsp 16 8\nm 5 -12 -14 0\nm -2 -3 0\nm 10 13 5 14 -4 -2 0\nt 1 8 1 6 -2 16 0\nt 1 -1 -2 0\nt 1 1 0\nm 3 0\nm -2 0\n"
+# the arguments of a `generate` that writes the instance
+GADGET = ["mcc-thr", "--k", "2", "--n", "2", "--complete"]
+
+
+def _budgeted(budget, size=None, variables=(), constraints=()):
+    if size is None:
+        return {"budget": budget, "size": None, "status": "exceeds-budget", "witness": None}
+    witness = {"constraints": list(constraints), "variables": list(variables)}
+    return {"budget": budget, "size": size, "status": "ok", "witness": witness}
+
+
+# (instance text or generate arguments, analyze options, the `analyze --json`
+# payload); the output's bytes are that payload as `json.dumps(indent=2,
+# sort_keys=True)` prints it
+PINNED_ANALYZE_JSON = [
+    (SIX_VARIABLE, [], {
+        "fvs": _budgeted(12, 5, [1, 2, 3, 4, 5]),
+        "instance_digest": "7a03065cbecadafbd8e2483eed213ece59807a9cf8987041687bebfcd256afdd",
+        "nd": 19, "nd_class_sizes": [2, 2, 2] + [1] * 16,
+        "num_constraints": 16, "num_vars": 6, "occ": 49,
+        "vc": _budgeted(16, 6, [1, 2, 3, 4, 5, 6]),
+    }),
+    (PLANTED_COVER, [], {
+        "fvs": _budgeted(12, 2, [1, 5]),
+        "instance_digest": "497be6ba4fbba201bdbfd695b03956bfd9007fa092f598e5013db72ee8643849",
+        "nd": 16, "nd_class_sizes": [4, 3, 3, 2] + [1] * 12,
+        "num_constraints": 8, "num_vars": 16, "occ": 21,
+        "vc": _budgeted(16, 6, [1, 2, 3], [0, 2, 3]),
+    }),
+    (GADGET, [], {
+        "fvs": _budgeted(12, 6, [1, 2, 4], [8, 14, 15]),
+        "instance_digest": "7e7dc0f684fc3169e0280256ea4c0aa3c4bdd15c4f17accef6b274100ed7a23d",
+        "nd": 27, "nd_class_sizes": [2] + [1] * 26,
+        "num_constraints": 16, "num_vars": 12, "occ": 50,
+        "vc": _budgeted(16, 12, range(1, 13)),
+    }),
+    (GADGET, ["--max-vc", "5", "--max-fvs", "5"], {
+        "fvs": _budgeted(5),
+        "instance_digest": "7e7dc0f684fc3169e0280256ea4c0aa3c4bdd15c4f17accef6b274100ed7a23d",
+        "nd": 27, "nd_class_sizes": [2] + [1] * 26,
+        "num_constraints": 16, "num_vars": 12, "occ": 50,
+        "vc": _budgeted(5),
+    }),
+    (MIXED, ["--max-vc", "1", "--max-fvs", "0"], {
+        "fvs": _budgeted(0),
+        "instance_digest": "353ca042dbcdb1b07e93765ade15ed137d5331dc49cf7669e170b9df3062eb3f",
+        "nd": 8, "nd_class_sizes": [2, 1, 1, 1, 1, 1, 1, 1],
+        "num_constraints": 5, "num_vars": 4, "occ": 13,
+        "vc": _budgeted(1),
+    }),
+    ("p mcsp 0 0\n", [], {
+        "fvs": _budgeted(12, 0),
+        "instance_digest": "ff25cb64fd7a92cd5c80357fdde96a1237fcfb52096aa5d77ea38d5b34f36a01",
+        "nd": 0, "nd_class_sizes": [],
+        "num_constraints": 0, "num_vars": 0, "occ": 0,
+        "vc": _budgeted(16, 0),
+    }),
+]
+
+
+@pytest.mark.parametrize("source, argv, expected", PINNED_ANALYZE_JSON)
+def test_analyze_json_bytes_are_pinned(tmp_path, capsys, source, argv, expected):
+    path = str(tmp_path / "a.mcsp")
+    if isinstance(source, list):
+        assert main(["generate", *source, "-o", path]) == 0
+    else:
+        write(tmp_path, "a.mcsp", source)
+    code, out = run_cli(capsys, "analyze", path, "--json", *argv)
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -485,7 +567,7 @@ def test_compare_small_dir_starts_no_pool(tmp_path, capsys, monkeypatch):
     args = compare_dir_of_small_files(tmp_path, 3)
     assert main(args + ["--workers", "1", "-o", str(tmp_path / "serial.csv")]) == 0
     monkeypatch.setattr(RecordingPool, "made", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert main(args + ["--workers", "2", "-o", str(tmp_path / "two.csv")]) == 0
     assert RecordingPool.made == []
     assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -496,7 +578,7 @@ def test_compare_pool_gets_the_files_after_the_first(tmp_path, capsys, monkeypat
     args = compare_dir_of_small_files(tmp_path, 4)
     assert main(args + ["--workers", "1", "-o", str(tmp_path / "serial.csv")]) == 0
     monkeypatch.setattr(RecordingPool, "made", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
     out = tmp_path / "pool.csv"
     assert main(args + ["--workers", str(workers), "-o", str(out)]) == 0
@@ -534,6 +616,38 @@ def test_compare_empty_dir(tmp_path, capsys):
     assert (tmp_path / "e.csv").read_text().splitlines() == [
         "instance,algorithm,epsilon,value,oracle_opt,ratio,status,time_ms"
     ]
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # solve, analyze and generate import the CLI module alone; compare imports
+    # the process pool when it starts one
+    code = "import sys, maxcsp.cli; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_residual_search_past_its_budget_exits_3_within_seconds(tmp_path, capsys):
+    # The greedy FVS (15) settles the exact-small route at eps 1/100, so the
+    # residual is the whole gadget: one type-class search over 81 constraints
+    # and 72 variables, which would not finish without its node budget.
+    path = str(tmp_path / "g.mcsp")
+    assert main(["generate", "mcc-thr", "-o", path, "--k", "3", "--n", "3", "--complete"]) == 0
+    started = time.perf_counter()
+    code = main(["solve", path, "--alg", "fvs-as", "--epsilon", "1/100", "--max-fvs", "18"])
+    assert time.perf_counter() - started < 5
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    budget = cover_solver.RESIDUAL_NODE_BUDGET
+    assert captured.err == f"error: residual of 81 constraints over 72 variables needs more than {budget} search nodes\n"
+
+
+def test_compare_row_past_the_residual_budget_reads_error_resource(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cover_solver, "RESIDUAL_NODE_BUDGET", 0)
+    write(tmp_path, "a.mcsp", THRESHOLD_MIX)
+    out = tmp_path / "t.csv"
+    assert main(["compare", "--algs", "oracle,vc", "--dir", str(tmp_path), "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["a.mcsp,oracle,,4,4,1/1,ok,", "a.mcsp,vc,,,4,,error:resource,"]
+    assert main(["solve", str(tmp_path / "a.mcsp"), "--alg", "vc"]) == 3
 
 
 def test_cli_runs_as_module(tmp_path):

@@ -9,6 +9,7 @@ from maxcsp import (
     Kind,
     Literal,
     PreconditionError,
+    ResourceLimitError,
     parity,
     VertexSplit,
     and_term,
@@ -329,18 +330,23 @@ def _cover_formulas():
 
 def test_cover_solver_equals_sigma_loop(monkeypatch):
     calls = {"residual": 0, "check": 0}
-    residual, check = cover_solver.residual_exact_max, cover_solver.count_satisfied
+    residual, counter = cover_solver.residual_exact_max, cover_solver.satisfied_counter
 
     def residual_spy(f):
         calls["residual"] += 1
         return residual(f)
 
-    def check_spy(f, a):
-        calls["check"] += 1
-        return check(f, a)
+    def counter_spy(f):
+        count = counter(f)
+
+        def check_spy(x):
+            calls["check"] += 1
+            return count(x)
+
+        return check_spy
 
     monkeypatch.setattr(cover_solver, "residual_exact_max", residual_spy)
-    monkeypatch.setattr(cover_solver, "count_satisfied", check_spy)
+    monkeypatch.setattr(cover_solver, "satisfied_counter", counter_spy)
     seen: dict[str, int] = {}
     for family, f, cover in _cover_formulas():
         calls.update(residual=0, check=0)
@@ -410,3 +416,33 @@ def test_verify_cover_reports_first_uncovered_occurrence():
         solve_via_vertex_cover(f, VertexSplit(frozenset({4}), frozenset({0, 1, 2})))
     with pytest.raises(PreconditionError, match="^constraint index 3 is not in the formula$"):
         solve_via_vertex_cover(f, VertexSplit(frozenset(), frozenset({0, 1, 2, 3})))
+
+
+def test_residual_node_budget_counts_every_search_of_one_call(monkeypatch):
+    # With 1-bit chunks every level below the whole set is a subset search,
+    # so one call runs several type-class searches.  Their nodes share the
+    # budget, and the next call starts afresh.
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 1)
+    f = random_formula(5, 8, {"OR": 1, "THRESHOLD": 1, "AND": 1}, (1, 3), 3)
+    searches, nodes = [], []
+    feasible = cover_solver.feasible_true_counts
+
+    def spy(num_vars, constraints, groups, visit):
+        searches.append(1)
+
+        def counted():
+            nodes.append(1)
+            visit()
+
+        return feasible(num_vars, constraints, groups, counted)
+
+    monkeypatch.setattr(cover_solver, "feasible_true_counts", spy)
+    expected = residual_exact_max(f)
+    needed = len(nodes)
+    assert len(searches) >= 3 and needed > len(searches)
+    monkeypatch.setattr(cover_solver, "RESIDUAL_NODE_BUDGET", needed)
+    assert residual_exact_max(f) == residual_exact_max(f) == expected
+    monkeypatch.setattr(cover_solver, "RESIDUAL_NODE_BUDGET", needed - 1)
+    message = f"residual of 8 constraints over 5 variables needs more than {needed - 1} search nodes"
+    with pytest.raises(ResourceLimitError, match=message):
+        residual_exact_max(f)

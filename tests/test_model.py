@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from maxcsp import (
     parity,
     simplify_fix_variable,
 )
+from maxcsp.model import satisfied_counter
 
 from helpers import satisfying_assignments
 
@@ -266,3 +268,54 @@ def test_eval_rejects_too_short_assignment_for_every_kind():
             eval_constraint(c, Assignment((1, 0)))
     with pytest.raises(MalformedInstanceError):
         count_satisfied(Formula(3, (or_clause(1),)), Assignment((1, 0)))
+
+
+def _random_constraint(rng: random.Random, num_vars: int) -> Constraint:
+    # arity 0 included; thresholds from 0 to two above the arity
+    arity = rng.randint(0, min(num_vars, 5))
+    lits = [Literal(v, rng.random() < 0.5) for v in rng.sample(range(1, num_vars + 1), arity)]
+    kind = rng.choice(list(Kind))
+    if kind is Kind.PARITY:
+        return Constraint(kind, lits, parity_rhs=rng.randint(0, 1))
+    if kind is Kind.THRESHOLD:
+        return Constraint(kind, lits, threshold=rng.randint(0, arity + 2))
+    return Constraint(kind, lits)
+
+
+def test_satisfied_counter_equals_count_satisfied():
+    rng = random.Random(71)
+    kinds_seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        f = Formula(n, tuple(_random_constraint(rng, n) for _ in range(rng.randint(0, 8))))
+        kinds_seen.update(c.kind for c in f.constraints)
+        count = satisfied_counter(f)
+        for bits in itertools.product((0, 1), repeat=n):
+            x = sum(b << i for i, b in enumerate(bits))
+            assert count(x) == count_satisfied(f, Assignment(bits)), (f, bits)
+    assert kinds_seen == set(Kind)
+
+
+@pytest.mark.parametrize(
+    "constraint, holds",
+    [
+        (at_least(0, 1, -2), True),  # threshold 0 always holds
+        (at_least(3, 1, -2), False),  # threshold above the arity never does
+        (Constraint(Kind.OR, ()), False),
+        (Constraint(Kind.AND, ()), True),
+        (Constraint(Kind.MAJORITY, ()), True),
+        (Constraint(Kind.PARITY, (), parity_rhs=0), True),
+        (Constraint(Kind.PARITY, (), parity_rhs=1), False),
+    ],
+)
+def test_satisfied_counter_edge_constraints(constraint, holds):
+    f = Formula(2, (constraint,))
+    for bits in itertools.product((0, 1), repeat=2):
+        x = bits[0] | bits[1] << 1
+        assert satisfied_counter(f)(x) == holds == count_satisfied(f, Assignment(bits))
+
+
+def test_satisfied_counter_without_variables():
+    empty = (Constraint(Kind.OR, ()), Constraint(Kind.AND, ()), Constraint(Kind.PARITY, (), parity_rhs=0))
+    assert satisfied_counter(Formula(0, ()))(0) == 0
+    assert satisfied_counter(Formula(0, empty))(0) == 2 == count_satisfied(Formula(0, empty), Assignment(()))

@@ -4,6 +4,7 @@ import pytest
 
 from maxcsp import (
     Formula,
+    random_formula,
     Graph,
     MalformedInstanceError,
     analyze_graph,
@@ -18,12 +19,12 @@ from maxcsp import (
     vertex_cover_number,
 )
 
-from maxcsp import structure
-from maxcsp.graphs import find_cycle, is_acyclic
+from maxcsp.graphs import TwoCore, find_cycle, is_acyclic
 from maxcsp.structure import fvs_bounds
 
 from helpers import (
     brute_lex_min_fvs,
+    brute_lex_min_vertex_cover,
     brute_min_fvs,
     brute_min_vertex_cover,
     complete_bipartite,
@@ -38,6 +39,7 @@ from helpers import (
     random_graph,
     relabel,
     star_graph,
+    twin_classes,
     with_pendant_trees,
 )
 
@@ -263,12 +265,13 @@ def test_witness_is_lex_smallest_when_the_greedy_fvs_is_minimum_but_not_lex_smal
 
 def test_gadget_fvs_is_found_with_few_cycle_searches(monkeypatch):
     calls = []
+    search = TwoCore.short_cycle
 
-    def counting(g, removed=frozenset()):
+    def counting(core):
         calls.append(1)
-        return find_cycle(g, removed)
+        return search(core)
 
-    monkeypatch.setattr(structure, "find_cycle", counting)
+    monkeypatch.setattr(TwoCore, "short_cycle", counting)
     g = build_incidence_graph(mcc_to_threshold(complete_mcc(2, 3)).formula).graph
     res = feedback_vertex_set(g, 8)
     assert res.witness == (33, 38, 49, 50, 60, 61)
@@ -287,3 +290,40 @@ def test_fvs_at_every_budget_up_to_the_minimum():
         for budget in range(len(lex) + 1):
             res = feedback_vertex_set(g, budget)
             assert res.witness == (lex if budget == len(lex) else None), (g, budget)
+
+
+def _vc_graphs():
+    # the FVS families but their 28-vertex gadget, whose enumeration takes minutes
+    rng = random.Random(61)
+    yield from (g for g in _fvs_families() if g.num_vertices <= 20)
+    for _ in range(40):
+        yield random_graph(rng.randint(1, 10), rng.random(), rng)
+    for seed in range(6):
+        f = random_formula(5, 6, {"THRESHOLD": 1, "OR": 1, "PARITY": 1}, (1, 3), seed)
+        yield build_incidence_graph(f).graph
+
+
+def test_vc_at_every_budget_up_to_the_minimum():
+    # The matching bound prunes strictly, so at a budget equal to the minimum
+    # the lexicographically smallest minimum cover is still found; below it,
+    # the search reports exceeded.
+    for g in _vc_graphs():
+        lex = brute_lex_min_vertex_cover(g, g.num_vertices)
+        for budget in range(len(lex) + 1):
+            res = vertex_cover_number(g, budget)
+            assert res.witness == (lex if budget == len(lex) else None), (g, budget)
+            assert res.exceeded == (budget < len(lex))
+        assert vertex_cover_number(g, len(lex) + 3).witness == lex
+
+
+def test_nd_classes_and_kinds_equal_the_pairwise_twin_test():
+    rng = random.Random(67)
+    graphs = list(_vc_graphs())
+    graphs += [complete_graph(5), Graph(4), complete_bipartite(3, 2), Graph(6, [(0, 1), (2, 3), (4, 5)])]
+    graphs += [relabel(disjoint_union(complete_graph(3), Graph(3), star_graph(3)), rng) for _ in range(5)]
+    for g in graphs:
+        nd = neighborhood_diversity(g)
+        classes = twin_classes(g)
+        assert list(nd.classes) == classes, g
+        kinds = ["clique" if len(c) > 1 and c[1] in g.adj[c[0]] else "independent" for c in classes]
+        assert list(nd.kinds) == kinds, g
