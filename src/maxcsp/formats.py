@@ -23,6 +23,7 @@ MCC files::
 from __future__ import annotations
 
 import hashlib
+import re
 
 from .errors import MalformedInstanceError, ParseError
 from .model import Constraint, Formula, Kind, Literal
@@ -35,6 +36,15 @@ _KIND_TO_TAG = {
     Kind.MAJORITY: "m",
 }
 _TAG_TO_KIND = {v: k for k, v in _KIND_TO_TAG.items()}
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """``int(token)`` for a token of the form ``[+-]?[0-9]+`` only; ``int``
+    alone also reads ``1_0`` as 10 and takes non-ASCII digits."""
+    if _DECIMAL.fullmatch(token) is None:
+        raise ValueError(token)
+    return int(token)
 
 
 def parse_instance(text: str) -> Formula:
@@ -42,6 +52,9 @@ def parse_instance(text: str) -> Formula:
     num_vars: int | None = None
     declared: int | None = None
     constraints: list[Constraint] = []
+    # On ASCII text without an underscore, ``int`` reads exactly the tokens
+    # ``_decimal`` does, and a per-token match would add a fifth to parsing.
+    to_int = int if text.isascii() and "_" not in text else _decimal
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -54,7 +67,7 @@ def parse_instance(text: str) -> Formula:
             if len(tokens) != 4 or tokens[1] != "mcsp":
                 raise ParseError(ln, f"bad header {line!r}, expected 'p mcsp <vars> <constraints>'")
             try:
-                num_vars, declared = int(tokens[2]), int(tokens[3])
+                num_vars, declared = to_int(tokens[2]), to_int(tokens[3])
             except ValueError:
                 raise ParseError(ln, "header counts must be integers") from None
             if num_vars < 0 or declared < 0:
@@ -79,7 +92,7 @@ def parse_instance(text: str) -> Formula:
             if not body:
                 raise ParseError(ln, "threshold line needs a threshold value")
             try:
-                threshold = int(body[0])
+                threshold = to_int(body[0])
             except ValueError:
                 raise ParseError(ln, f"threshold must be an integer, got {body[0]!r}") from None
             if threshold < 0:
@@ -91,7 +104,7 @@ def parse_instance(text: str) -> Formula:
         seen: set[int] = set()
         for tok in body[:-1]:
             try:
-                value = int(tok)
+                value = to_int(tok)
             except ValueError:
                 raise ParseError(ln, f"literal {tok!r} is not an integer") from None
             if value == 0:
@@ -155,7 +168,7 @@ def parse_mcc(text: str):
             if len(tokens) != 4 or tokens[1] != "mcc":
                 raise ParseError(ln, f"bad header {line!r}, expected 'p mcc <k> <n>'")
             try:
-                parts, size = int(tokens[2]), int(tokens[3])
+                parts, size = _decimal(tokens[2]), _decimal(tokens[3])
             except ValueError:
                 raise ParseError(ln, "header counts must be integers") from None
             if parts < 1 or size < 1:
@@ -168,7 +181,7 @@ def parse_mcc(text: str):
         if len(tokens) != 5:
             raise ParseError(ln, "edge line must be 'e <i> <u> <j> <v>'")
         try:
-            i, u, j, v = (int(t) for t in tokens[1:])
+            i, u, j, v = (_decimal(t) for t in tokens[1:])
         except ValueError:
             raise ParseError(ln, "edge fields must be integers") from None
         if i == j:

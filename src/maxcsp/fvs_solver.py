@@ -7,6 +7,11 @@ guess the assignment of F's variable vertices, delete F's constraint
 vertices, solve the acyclic residual exactly with the forest solver, and keep
 the best candidate evaluated on the original formula.  The best candidate
 satisfies at least (1 - eps) * OPT constraints.
+
+The approx route compiles the instance once (``forest_solver.Forest``, on
+the incidence graph that the FVS check built), so each guess costs one
+O(n + m + occ) peel and no formula is rebuilt: 2^|F's variables| peels in
+all.  Guesses run in ``product`` order and the first best one wins.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from itertools import product
 
 from .cover_solver import residual_exact_max
 from .errors import ContractViolationError, MalformedInstanceError, PreconditionError, ResourceLimitError
-from .forest_solver import solve_forest
-from .graphs import VertexSplit, build_incidence_graph, check_split_range, is_acyclic
-from .model import Assignment, Formula, Kind, as_threshold_formula, count_satisfied, simplify_fix_variable
+from .forest_solver import Forest, solve_forest
+from .graphs import IncidenceGraph, VertexSplit, build_incidence_graph, check_split_range, is_acyclic
+from .model import Assignment, Formula, Kind, as_threshold_formula, count_satisfied
 from .oracle import OracleResult
 from .report import parse_fraction
 from .structure import feedback_vertex_set, fvs_bounds
@@ -27,11 +32,13 @@ ROUTE_EXACT_SMALL = "exact-small"
 ROUTE_APPROX = "approx"
 
 
-def verify_feedback_vertex_set(f: Formula, fvs: VertexSplit) -> None:
+def verify_feedback_vertex_set(f: Formula, fvs: VertexSplit) -> IncidenceGraph:
+    """The incidence graph of ``f``, once deleting ``fvs`` is shown to leave a forest."""
     check_split_range(f, fvs)
     inc = build_incidence_graph(f)
     if not is_acyclic(inc.graph, inc.vertices_of(fvs)):
         raise PreconditionError("deleting the given vertices does not leave a forest")
+    return inc
 
 
 def plan_route(f: Formula, fvs: VertexSplit, epsilon) -> str:
@@ -87,35 +94,25 @@ def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> OracleResult:
         thr = as_threshold_formula(f)
     except ContractViolationError as exc:
         raise PreconditionError(str(exc)) from exc
-    verify_feedback_vertex_set(thr, fvs)
+    inc = verify_feedback_vertex_set(thr, fvs)
     route = plan_route(thr, fvs, epsilon)
 
     if route == ROUTE_EXACT_SMALL:
         res = residual_exact_max(thr)
         return OracleResult(res.value, res.witness, route)
-    guess_vars = sorted(fvs.variables)
-    kept = [j for j in range(thr.num_constraints) if j not in fvs.constraints]
+    forest = Forest(thr, inc, fvs)
     best_value = -1
     best_witness: Assignment | None = None
-    for sigma in product((0, 1), repeat=len(guess_vars)):
-        residual = thr
-        for x, v in zip(guess_vars, sigma):
-            residual, removed = simplify_fix_variable(residual, x, v)
-            if removed:
-                raise AssertionError("threshold simplification must not drop constraints")
-        residual = Formula(thr.num_vars, tuple(residual.constraints[j] for j in kept))
-        tree = solve_forest(residual)
-        candidate = tree.witness
-        for x, v in zip(guess_vars, sigma):
-            candidate = candidate.replace(x, v)
+    for sigma in product((0, 1), repeat=len(forest.fixed)):
+        tree = solve_forest(forest, sigma)
         # Deleted constraints can be satisfied incidentally, so score the
-        # candidate on the original formula.
-        value = count_satisfied(thr, candidate)
+        # witness on the original formula.
+        value = count_satisfied(thr, tree.witness)
         if value < tree.value:
             raise AssertionError("original evaluation lost residual constraints")
         if value > best_value:
             best_value = value
-            best_witness = candidate
+            best_witness = tree.witness
     if best_witness is None:
         raise AssertionError("no forest guess scored")
     return OracleResult(best_value, best_witness, route)

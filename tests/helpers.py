@@ -98,6 +98,35 @@ def sigma_loop_vertex_cover(f: Formula, cover: VertexSplit) -> tuple[int, Assign
     return best_value, best_witness
 
 
+def sigma_loop_fvs(f: Formula, fvs: VertexSplit) -> tuple[int, Assignment]:
+    """The approx route of the feedback-vertex-set scheme as one plain loop.
+
+    For each sigma in ``product`` order: fix the F variables one by one with
+    ``simplify_fix_variable``, drop F's constraints, solve the residual
+    formula with ``solve_forest``, put sigma into its witness and score that
+    on the whole formula.  The first sigma with a strictly larger score wins.
+    ``fvs`` must be a feedback vertex set of a PARITY-free formula.
+    """
+    from maxcsp import as_threshold_formula, simplify_fix_variable, solve_forest
+
+    thr = as_threshold_formula(f)
+    guess_vars = sorted(fvs.variables)
+    kept = [j for j in range(thr.num_constraints) if j not in fvs.constraints]
+    best_value, best_witness = -1, None
+    for sigma in itertools.product((0, 1), repeat=len(guess_vars)):
+        residual = thr
+        for x, v in zip(guess_vars, sigma):
+            residual, _ = simplify_fix_variable(residual, x, v)
+        residual = Formula(thr.num_vars, tuple(residual.constraints[j] for j in kept))
+        witness = solve_forest(residual).witness
+        for x, v in zip(guess_vars, sigma):
+            witness = witness.replace(x, v)
+        value = count_satisfied(thr, witness)
+        if value > best_value:
+            best_value, best_witness = value, witness
+    return best_value, best_witness
+
+
 def satisfying_assignments(c: Constraint, variables: tuple[int, ...]) -> set[tuple[int, ...]]:
     """All assignments of the given variables that satisfy the constraint."""
     from maxcsp import eval_constraint

@@ -26,6 +26,19 @@ PARITY = "p mcsp 3 3\nx 1 1 2 0\nx 1 2 3 0\nx 1 1 3 0\n"
 PARITY_SAT = "p mcsp 3 2\nx 1 1 2 0\nx 0 2 3 0\n"
 MIXED = "p mcsp 4 5\no 1 -2 0\na 2 3 0\nx 1 1 3 4 0\nt 2 -1 2 4 0\nm -3 -4 1 0\n"
 THRESHOLD_MIX = "p mcsp 4 5\no 1 -2 0\na 2 3 0\nt 2 -1 2 4 0\nm -3 -4 1 0\nt 1 -4 0\n"
+# deleting variable 1 leaves a forest, so fvs-as guesses it (two sigmas) on its
+# approx route; HUB2 needs variables 1 and 2 (four sigmas)
+HUB = "p mcsp 5 8\nt 1 1 2 0\nt 2 1 -2 0\no -1 3 0\nm 1 -3 4 0\nt 1 4 0\nt 1 -5 0\na 5 -4 0\nt 1 -2 0\n"
+HUB2 = (
+    "p mcsp 6 11\nt 1 1 3 0\nt 2 1 -3 0\nm -1 3 6 0\no 2 4 0\nt 1 -2 4 5 0\na 2 -5 0\nt 1 -6 0\n"
+    "t 0 5 0\nt 3 6 -4 0\no -3 0\nt 1 -4 0\n"
+)
+# x2 and x3 hang off the first constraint at the same depth, and the lower
+# index is peeled first.  Here x2 satisfies that constraint, so x3 sees only
+# its cancelling unit constraints and takes the default 1 (witness 001); with
+# x2 and x3 swapped, x2 breaks its tie by the parent literal (witness 000)
+SIBLING_TIE = "p mcsp 3 3\nt 1 1 -2 -3 0\nt 1 3 0\nt 1 -3 0\n"
+SIBLING_TIE_SWAPPED = "p mcsp 3 3\nt 1 1 -3 -2 0\nt 1 2 0\nt 1 -2 0\n"
 # variable 5 occurs nowhere, so its bit in the cw-as witness comes from the seed
 CNF = "p mcsp 5 5\no 1 2 0\no -1 3 0\no -2 -3 0\no 1 2 3 4 0\no -4 0\n"
 
@@ -183,6 +196,66 @@ PINNED_SOLVE_JSON = [
   "trials": null,
   "value": 2,
   "witness": "11"
+}
+'''),
+    (HUB, ["--alg", "fvs-as", "--epsilon", "1/2"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/2",
+  "instance_digest": "464b054bde596791f5e4cc7ead63b28de95f5dd7b559b934bebc99fba7b86c68",
+  "oracle_value": null,
+  "ratio": null,
+  "route": "approx",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 7,
+  "witness": "10110"
+}
+'''),
+    (HUB2, ["--alg", "fvs-as", "--epsilon", "1/2", "--with-oracle"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/2",
+  "instance_digest": "7d113ea613cca807aeaa25f7505e79028ccbcd067f46594fd2ccfacf0f9a3a58",
+  "oracle_value": 8,
+  "ratio": "1/1",
+  "route": "approx",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 8,
+  "witness": "110000"
+}
+'''),
+    (SIBLING_TIE, ["--alg", "tree"], '''\
+{
+  "algorithm": "tree",
+  "epsilon": null,
+  "instance_digest": "7fd4a847dba4065630915f3fa4942570e14e0f0c80e1dcd4a4804fdda24949a0",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "001"
+}
+'''),
+    (SIBLING_TIE_SWAPPED, ["--alg", "tree"], '''\
+{
+  "algorithm": "tree",
+  "epsilon": null,
+  "instance_digest": "8e3ce67816f51aba3fc7f758014d08bd10728f87db3d793b841cea9b286706ff",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "000"
 }
 '''),
     (CNF, ["--alg", "cw-as", "--epsilon", "1/4", "--seed", "7", "--trials", "3"], '''\
@@ -379,6 +452,25 @@ def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, arg
     assert captured.out == ""
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, line",
+    [
+        ("a.mcsp", "p mcsp 1_0 1\nt 1 1_0 0\n", ["solve", "{file}", "--alg", "tree"], 1),
+        ("a.mcsp", "p mcsp 10 1\nt 1_0 1 0\n", ["solve", "{file}", "--alg", "tree"], 2),
+        ("a.mcsp", "p mcsp 10 1\nt 1 1_0 0\n", ["solve", "{file}", "--alg", "tree"], 2),
+        ("g.mcc", "p mcc 2 2\ne 1 1 2 0_2\n", ["generate", "mcc-thr", "--graph", "{file}", "-o", "{out}"], 2),
+    ],
+)
+def test_underscored_numbers_exit_1_with_one_error_line(tmp_path, capsys, name, text, argv, line):
+    file = write(tmp_path, name, text)
+    out = str(tmp_path / "out.mcsp")
+    assert main([a.format(file=file, out=out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {line}: ") and captured.err.count("\n") == 1
     assert not os.path.exists(out)
 
 

@@ -146,3 +146,42 @@ def test_mcc_empty_edge_list_is_valid():
 def test_gadget_output_round_trips():
     red = mcc_to_threshold(random_mcc(2, 2, 0.5, 7))
     assert parse_instance(serialize_instance(red.formula)) == red.formula
+
+
+# ``int`` alone reads "1_0" as 10 and takes non-ASCII digits such as U+0661
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p mcsp 1_0 1\nt 1 1 0\n", 1, "header counts must be integers"),
+        ("p mcsp 2 1\nt 1_0 1 0\n", 2, "threshold must be an integer, got '1_0'"),
+        ("p mcsp 10 1\nt 1 1_0 0\n", 2, "literal '1_0' is not an integer"),
+        ("p mcsp 10 1\no -1_0 0\n", 2, "literal '-1_0' is not an integer"),
+        ("p mcsp 2 1\no 1 ١ 0\n", 2, "literal '١' is not an integer"),
+        ("p mcsp ٢ 1\no 1 0\n", 1, "header counts must be integers"),
+    ],
+)
+def test_parse_reads_only_plain_decimal_tokens(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("p mcc 2_0 2\n", 1, "header counts must be integers"),
+        ("p mcc 2 2\ne 1 1 2 0_2\n", 2, "edge fields must be integers"),
+        ("p mcc 2 2\ne 1 1 ٢ 1\n", 2, "edge fields must be integers"),
+    ],
+)
+def test_parse_mcc_reads_only_plain_decimal_tokens(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_mcc(text)
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_explicit_plus_signs_still_parse():
+    assert parse_instance("p mcsp +2 +1\nt +1 +1 -2 0\n") == Formula(2, (at_least(1, 1, -2),))
+    assert parse_instance("c under_score\np mcsp 2 1\nt 1 +1 -2 0\n") == Formula(2, (at_least(1, 1, -2),))
+    g = parse_mcc("p mcc +2 2\ne +1 1 2 +2\n")
+    assert g.has_edge(1, 1, 2, 2)

@@ -228,3 +228,76 @@ def test_fvs_as_output_is_the_same_without_the_shortcut(tmp_path, capsys, monkey
                     assert len(calls) == 3
         assert outputs[:3] == outputs[3:], name
     assert skipped >= 30
+
+
+def _mixed_kinds(rng: random.Random, f: Formula) -> Formula:
+    """``f`` with each constraint's kind redrawn among OR, AND, MAJORITY and
+    THRESHOLD (which keeps its threshold)."""
+    from maxcsp import Constraint, Kind
+
+    out = []
+    for c in f.constraints:
+        kind = rng.choice((Kind.OR, Kind.AND, Kind.MAJORITY, Kind.THRESHOLD))
+        threshold = c.effective_threshold() if kind is Kind.THRESHOLD else None
+        out.append(Constraint(kind, c.literals, threshold=threshold))
+    return Formula(f.num_vars, tuple(out))
+
+
+def _sigma_loop_instances():
+    """(family, formula, feedback vertex set) for the approx-route comparison."""
+    from helpers import random_fvs_variable_hub_instance
+    from maxcsp import Constraint, Kind, Literal
+
+    rng = random.Random(61)
+    for _ in range(40):
+        yield ("hub-constraints", *random_small_fvs_instance(rng, max_vars=9, max_cons=9, hubs=2))
+        # thresholds from 0 to one above the arity
+        yield ("hub-constraints-thr", *random_small_fvs_instance(rng, max_vars=9, max_cons=9, majority_only=False))
+        yield ("hub-variable", *random_fvs_variable_hub_instance(rng))
+        f, fvs = random_fvs_variable_hub_instance(rng, max_vars=9, max_cons=9, majority_only=False)
+        yield ("hub-variable-thr", f, fvs)
+        yield ("hub-variable-kinds", _mixed_kinds(rng, f), fvs)
+        # F holds the hub variable and a constraint that closes more cycles
+        # among the other variables
+        others = list(range(1, f.num_vars))
+        scope = rng.sample(others, min(len(others), rng.randint(2, 3)))
+        hub = Constraint(Kind.THRESHOLD, tuple(Literal(v, rng.random() < 0.5) for v in scope),
+                         threshold=rng.randint(0, len(scope) + 1))
+        both = Formula(f.num_vars, f.constraints + (hub,))
+        split = VertexSplit(fvs.variables, frozenset({f.num_constraints}))
+        yield ("hub-both", _mixed_kinds(rng, both), split)
+
+
+def test_approx_route_equals_sigma_loop(monkeypatch):
+    from helpers import sigma_loop_fvs
+    from maxcsp import forest_solver
+
+    calls = {"peel": 0, "cycle": 0}
+    peel, cycle = forest_solver.peel_forest, forest_solver.find_cycle
+
+    def peel_spy(*args):
+        calls["peel"] += 1
+        return peel(*args)
+
+    def cycle_spy(*args):
+        calls["cycle"] += 1
+        return cycle(*args)
+
+    approx = {}
+    for family, f, fvs in _sigma_loop_instances():
+        for eps in (Fraction(1, 2), Fraction(9, 10)):
+            calls.update(peel=0, cycle=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(forest_solver, "peel_forest", peel_spy)
+                patch.setattr(forest_solver, "find_cycle", cycle_spy)
+                res = approx_via_fvs(f, fvs, eps)
+            if res.route != "approx":
+                continue
+            approx[family] = approx.get(family, 0) + 1
+            assert (res.value, res.witness) == sigma_loop_fvs(f, fvs), (family, f, fvs)
+            # one peel per sigma and no cycle search: the FVS check showed
+            # that the graph less F is a forest
+            assert calls == {"peel": 1 << len(fvs.variables), "cycle": 0}
+    assert set(approx) == {
+        "hub-constraints", "hub-constraints-thr", "hub-variable", "hub-variable-thr", "hub-variable-kinds", "hub-both"
+    }, approx

@@ -1,0 +1,131 @@
+"""Property tests of the forest layer and the instance format.
+
+The examples are derandomized, so every run draws the same ones.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from maxcsp import (  # noqa: E402
+    Constraint,
+    Formula,
+    Kind,
+    Literal,
+    VertexSplit,
+    approx_via_fvs,
+    count_satisfied,
+    max_csp_bruteforce,
+    parse_instance,
+    serialize_instance,
+    solve_forest,
+)
+
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+KINDS = (Kind.OR, Kind.AND, Kind.MAJORITY, Kind.THRESHOLD)
+
+
+@st.composite
+def constraints(draw, variables: list[int], kinds=KINDS) -> Constraint:
+    """One constraint over ``variables``, in order, with random signs; a
+    THRESHOLD's threshold runs from 0 to one above the arity."""
+    kind = draw(st.sampled_from(kinds))
+    lits = tuple(Literal(v, draw(st.booleans())) for v in variables)
+    if kind is Kind.THRESHOLD:
+        return Constraint(kind, lits, threshold=draw(st.integers(0, len(lits) + 1)))
+    if kind is Kind.PARITY:
+        return Constraint(kind, lits, parity_rhs=draw(st.integers(0, 1)))
+    return Constraint(kind, lits)
+
+
+@st.composite
+def forests(draw, max_vars: int = 8, min_cons: int = 0, max_cons: int = 8) -> Formula:
+    """A PARITY-free formula whose incidence graph is a forest.
+
+    Each constraint takes its variables from distinct components of the
+    incidence graph built so far, so no cycle closes.
+    """
+    n = draw(st.integers(1, max_vars))
+    m = draw(st.integers(min_cons, max_cons))
+    component = list(range(n + 1))  # by variable; constraints join components
+
+    def find(x: int) -> int:
+        while component[x] != x:
+            x = component[x]
+        return x
+
+    out = []
+    for _ in range(m):
+        wanted = draw(st.lists(st.integers(1, n), max_size=3, unique=True))
+        chosen: list[int] = []
+        for v in wanted:
+            if all(find(v) != find(u) for u in chosen):
+                chosen.append(v)
+        for v in chosen[1:]:
+            component[find(v)] = find(chosen[0])
+        out.append(draw(constraints(chosen)))
+    return Formula(n, tuple(out))
+
+
+@st.composite
+def fvs_instances(draw) -> tuple[Formula, VertexSplit]:
+    """A forest plus feedback vertices: hub constraints over any variables
+    and, optionally, a new hub variable added to some of the constraints.
+    The forest has at least four constraints, so that with one feedback
+    vertex and eps = 9/10 the scheme takes its approx route."""
+    base = draw(forests(max_vars=7, min_cons=4, max_cons=10))
+    n = base.num_vars
+    cons = list(base.constraints)
+    hub_cons = []
+    for _ in range(draw(st.integers(0, 2))):
+        scope = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+        hub_cons.append(len(cons))
+        cons.append(draw(constraints(scope)))
+    hub_vars = frozenset()
+    if draw(st.booleans()) and cons:
+        n += 1
+        hub_vars = frozenset({n})
+        touched = draw(st.lists(st.integers(0, len(cons) - 1), min_size=1, max_size=4, unique=True))
+        for j in touched:
+            c = cons[j]
+            lits = c.literals + (Literal(n, draw(st.booleans())),)
+            cons[j] = Constraint(c.kind, lits, threshold=c.threshold)
+    return Formula(n, tuple(cons)), VertexSplit(hub_vars, frozenset(hub_cons))
+
+
+@st.composite
+def formulas(draw) -> Formula:
+    """Any formula of every kind, empty literal lists included."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 6))
+    out = []
+    for _ in range(m):
+        scope = draw(st.lists(st.integers(1, n), max_size=n, unique=True)) if n else []
+        out.append(draw(constraints(scope, KINDS + (Kind.PARITY,))))
+    return Formula(n, tuple(out))
+
+
+@PROFILE
+@given(forests())
+def test_forest_solver_equals_the_oracle(f):
+    res = solve_forest(f)
+    assert res.value == max_csp_bruteforce(f).value
+    assert count_satisfied(f, res.witness) == res.value
+
+
+@PROFILE
+@given(fvs_instances(), st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)]))
+def test_fvs_scheme_meets_its_bound(instance, eps):
+    f, fvs = instance
+    res = approx_via_fvs(f, fvs, eps)
+    assert Fraction(res.value) >= (1 - eps) * max_csp_bruteforce(f).value
+    assert count_satisfied(f, res.witness) == res.value
+
+
+@PROFILE
+@given(formulas())
+def test_serialize_then_parse_is_the_identity(f):
+    assert parse_instance(serialize_instance(f)) == f
