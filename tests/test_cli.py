@@ -198,66 +198,6 @@ PINNED_SOLVE_JSON = [
   "witness": "11"
 }
 '''),
-    (HUB, ["--alg", "fvs-as", "--epsilon", "1/2"], '''\
-{
-  "algorithm": "fvs-as",
-  "epsilon": "1/2",
-  "instance_digest": "464b054bde596791f5e4cc7ead63b28de95f5dd7b559b934bebc99fba7b86c68",
-  "oracle_value": null,
-  "ratio": null,
-  "route": "approx",
-  "satisfiable": null,
-  "seed": null,
-  "trials": null,
-  "value": 7,
-  "witness": "10110"
-}
-'''),
-    (HUB2, ["--alg", "fvs-as", "--epsilon", "1/2", "--with-oracle"], '''\
-{
-  "algorithm": "fvs-as",
-  "epsilon": "1/2",
-  "instance_digest": "7d113ea613cca807aeaa25f7505e79028ccbcd067f46594fd2ccfacf0f9a3a58",
-  "oracle_value": 8,
-  "ratio": "1/1",
-  "route": "approx",
-  "satisfiable": null,
-  "seed": null,
-  "trials": null,
-  "value": 8,
-  "witness": "110000"
-}
-'''),
-    (SIBLING_TIE, ["--alg", "tree"], '''\
-{
-  "algorithm": "tree",
-  "epsilon": null,
-  "instance_digest": "7fd4a847dba4065630915f3fa4942570e14e0f0c80e1dcd4a4804fdda24949a0",
-  "oracle_value": null,
-  "ratio": null,
-  "route": null,
-  "satisfiable": null,
-  "seed": null,
-  "trials": null,
-  "value": 2,
-  "witness": "001"
-}
-'''),
-    (SIBLING_TIE_SWAPPED, ["--alg", "tree"], '''\
-{
-  "algorithm": "tree",
-  "epsilon": null,
-  "instance_digest": "8e3ce67816f51aba3fc7f758014d08bd10728f87db3d793b841cea9b286706ff",
-  "oracle_value": null,
-  "ratio": null,
-  "route": null,
-  "satisfiable": null,
-  "seed": null,
-  "trials": null,
-  "value": 2,
-  "witness": "000"
-}
-'''),
     (CNF, ["--alg", "cw-as", "--epsilon", "1/4", "--seed", "7", "--trials", "3"], '''\
 {
   "algorithm": "cw-as",
@@ -316,6 +256,66 @@ PINNED_SOLVE_JSON = [
   "trials": null,
   "value": 4,
   "witness": "1110"
+}
+'''),
+    (HUB, ["--alg", "fvs-as", "--epsilon", "1/2"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/2",
+  "instance_digest": "464b054bde596791f5e4cc7ead63b28de95f5dd7b559b934bebc99fba7b86c68",
+  "oracle_value": null,
+  "ratio": null,
+  "route": "approx",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 7,
+  "witness": "10110"
+}
+'''),
+    (HUB2, ["--alg", "fvs-as", "--epsilon", "1/2", "--with-oracle"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/2",
+  "instance_digest": "7d113ea613cca807aeaa25f7505e79028ccbcd067f46594fd2ccfacf0f9a3a58",
+  "oracle_value": 8,
+  "ratio": "1/1",
+  "route": "approx",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 8,
+  "witness": "110000"
+}
+'''),
+    (SIBLING_TIE, ["--alg", "tree"], '''\
+{
+  "algorithm": "tree",
+  "epsilon": null,
+  "instance_digest": "7fd4a847dba4065630915f3fa4942570e14e0f0c80e1dcd4a4804fdda24949a0",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "001"
+}
+'''),
+    (SIBLING_TIE_SWAPPED, ["--alg", "tree"], '''\
+{
+  "algorithm": "tree",
+  "epsilon": null,
+  "instance_digest": "8e3ce67816f51aba3fc7f758014d08bd10728f87db3d793b841cea9b286706ff",
+  "oracle_value": null,
+  "ratio": null,
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 2,
+  "witness": "000"
 }
 '''),
 ]
