@@ -31,6 +31,7 @@ from .formats import (
     instance_digest,
     parse_instance,
     parse_mcc,
+    plain_number,
     serialize_instance,
 )
 from .forest_solver import solve_forest
@@ -46,6 +47,7 @@ EXIT_RESOURCE = 3
 # Seconds of serial compare work after which the rest goes to a worker pool:
 # about what starting a 2-process pool costs (12-28 ms on a 2-vCPU VM).
 _POOL_AFTER_S = 0.02
+_INT, _FLOAT = plain_number(int), plain_number(float)  # numeric option values
 
 
 def _read_text(path: str) -> str:
@@ -285,17 +287,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.input is None:
             raise PreconditionError(f"{kind} requires --input")
         src = parse_instance(_read_text(args.input))
-        formula = (
-            reductions.threshold_to_majority(as_threshold_formula(src))
-            if kind == "thr2maj"
-            else reductions.cnf_to_majority(src)
-        )
+        try:
+            formula = (
+                reductions.threshold_to_majority(as_threshold_formula(src))
+                if kind == "thr2maj"
+                else reductions.cnf_to_majority(src)
+            )
+        except ContractViolationError as exc:  # an input of the wrong kinds
+            raise PreconditionError(str(exc)) from exc
     elif kind == "random":
         mix = {}
         for part in args.kinds.split(","):
             name, _, weight = part.partition("=")
             try:
-                mix[name.strip()] = float(weight) if weight else 1.0
+                mix[name.strip()] = _FLOAT(weight) if weight else 1.0
             except ValueError:
                 raise MalformedInstanceError(f"kind weight is not a number: {weight!r}") from None
         formula = oracle.random_formula(
@@ -422,20 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="incidence-graph structural parameters")
     p.add_argument("file")
-    p.add_argument("--max-vc", type=int, default=structure.DEFAULT_VC_BUDGET)
-    p.add_argument("--max-fvs", type=int, default=structure.DEFAULT_FVS_BUDGET)
+    p.add_argument("--max-vc", type=_INT, default=structure.DEFAULT_VC_BUDGET)
+    p.add_argument("--max-fvs", type=_INT, default=structure.DEFAULT_FVS_BUDGET)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="run one solver on one instance")
     p.add_argument("file")
     p.add_argument("--alg", choices=tuple(SOLVERS), required=True)
     p.add_argument("--epsilon", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=cnf_approx.DEFAULT_TRIALS)
-    p.add_argument("--window-exponent", type=int, default=cnf_approx.DEFAULT_WINDOW_EXPONENT)
-    p.add_argument("--max-vc", type=int, default=structure.DEFAULT_VC_BUDGET)
-    p.add_argument("--max-fvs", type=int, default=structure.DEFAULT_FVS_BUDGET)
-    p.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_VAR_LIMIT)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--trials", type=_INT, default=cnf_approx.DEFAULT_TRIALS)
+    p.add_argument("--window-exponent", type=_INT, default=cnf_approx.DEFAULT_WINDOW_EXPONENT)
+    p.add_argument("--max-vc", type=_INT, default=structure.DEFAULT_VC_BUDGET)
+    p.add_argument("--max-fvs", type=_INT, default=structure.DEFAULT_FVS_BUDGET)
+    p.add_argument("--oracle-limit", type=_INT, default=oracle.DEFAULT_VAR_LIMIT)
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--timing", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -445,26 +450,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--graph", default=None, help="MCC graph file")
     p.add_argument("--input", default=None, help="MCSP input for thr2maj/cnf2maj")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--k", type=_INT, default=None)
+    p.add_argument("--n", type=_INT, default=None)
     p.add_argument("--complete", action="store_true")
     p.add_argument("--edgeless", action="store_true")
-    p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-vars", type=int, default=10)
-    p.add_argument("--num-constraints", type=int, default=10)
+    p.add_argument("--edge-prob", type=_FLOAT, default=None)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--num-vars", type=_INT, default=10)
+    p.add_argument("--num-constraints", type=_INT, default=10)
     p.add_argument("--kinds", default="OR=1")
-    p.add_argument("--arity-min", type=int, default=1)
-    p.add_argument("--arity-max", type=int, default=3)
+    p.add_argument("--arity-min", type=_INT, default=1)
+    p.add_argument("--arity-max", type=_INT, default=3)
 
     p = sub.add_parser("compare", help="ratio table over a directory of instances")
     p.add_argument("--algs", required=True)
     p.add_argument("--epsilons", "--epsilon", default="")
     p.add_argument("--dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=cnf_approx.DEFAULT_TRIALS)
-    p.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_VAR_LIMIT)
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--seed", type=_INT, default=0)
+    p.add_argument("--trials", type=_INT, default=cnf_approx.DEFAULT_TRIALS)
+    p.add_argument("--oracle-limit", type=_INT, default=oracle.DEFAULT_VAR_LIMIT)
+    p.add_argument("--workers", type=_INT, default=2)
     p.add_argument("--timing", action="store_true")
     p.add_argument("-o", "--output", required=True)
     return parser

@@ -16,16 +16,9 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Callable, Sequence
 
-from .errors import ContractViolationError, PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 from .graphs import VertexSplit, check_split_range
-from .model import (
-    Assignment,
-    Constraint,
-    Formula,
-    as_threshold_formula,
-    satisfied_counter,
-    simplify_fix_variable,
-)
+from .model import Assignment, Constraint, Formula, Kind, Literal, satisfied_counter
 from .oracle import OracleResult, _SatisfiedCounts
 
 # Type-class search nodes (``feasible_true_counts``) that one
@@ -141,7 +134,7 @@ def _selection_to_assignment(
 
 
 def _subset_witness(
-    thr: Formula,
+    f: Formula,
     occ: Sequence[dict[int, int]],
     variables: Sequence[int],
     subset: Sequence[int],
@@ -149,10 +142,10 @@ def _subset_witness(
 ) -> Assignment | None:
     """An assignment satisfying every constraint of ``subset``, or None."""
     groups = _group_by_type(occ, variables, subset)
-    selection = feasible_true_counts(thr.num_vars, [thr.constraints[j] for j in subset], groups, visit)
+    selection = feasible_true_counts(f.num_vars, [f.constraints[j] for j in subset], groups, visit)
     if selection is None:
         return None
-    return _selection_to_assignment(thr.num_vars, groups, selection)
+    return _selection_to_assignment(f.num_vars, groups, selection)
 
 
 def residual_exact_max(f: Formula) -> OracleResult:
@@ -172,12 +165,11 @@ def residual_exact_max(f: Formula) -> OracleResult:
 
     The type-class searches of one call visit at most
     ``RESIDUAL_NODE_BUDGET`` nodes in all; one more raises
-    ``ResourceLimitError``.
+    ``ResourceLimitError``, and a PARITY constraint ``ContractViolationError``.
     """
-    thr = as_threshold_formula(f)
-    m = thr.num_constraints
-    occ = _occurrence_maps(thr.num_vars, thr.constraints)
-    relevant = [x for x in range(1, thr.num_vars + 1) if occ[x]]
+    m = f.num_constraints
+    occ = _occurrence_maps(f.num_vars, f.constraints)
+    relevant = [x for x in range(1, f.num_vars + 1) if occ[x]]
     nodes = 0
 
     def visit() -> None:
@@ -190,13 +182,13 @@ def residual_exact_max(f: Formula) -> OracleResult:
             )
     for size in range(m, -1, -1):
         if size < m and _SatisfiedCounts.one_chunk(len(relevant)):
-            subset = _SatisfiedCounts(thr.constraints, relevant).first_max_satisfied_set()
-            witness = _subset_witness(thr, occ, relevant, subset, visit)
+            subset = _SatisfiedCounts(f.constraints, relevant).first_max_satisfied_set()
+            witness = _subset_witness(f, occ, relevant, subset, visit)
             if witness is None:
                 raise AssertionError("a maximiser's satisfied set failed the subset search")
             return OracleResult(len(subset), witness)
         for subset in combinations(range(m), size):
-            witness = _subset_witness(thr, occ, relevant, subset, visit)
+            witness = _subset_witness(f, occ, relevant, subset, visit)
             if witness is not None:
                 return OracleResult(size, witness)
     raise AssertionError("the empty subset is always feasible")
@@ -230,19 +222,19 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     the k cover variables in one pass of the oracle's satisfied-count
     kernel, whose index order is ``product`` order.  The residual of the
     covered constraints depends only on the cover variables that occur in
-    it, so it is solved once per assignment of those.  Every assignment's
-    witness is re-counted on the whole formula with ``satisfied_counter``,
-    independently of the kernel, and the first assignment in ``product``
-    order with the largest total wins.
+    it, so it is built in one pass and solved once per assignment of those:
+    each covered constraint becomes a THRESHOLD on its literals off the
+    cover that needs its effective threshold less the cover literals made
+    true, down to 0.  Every assignment's witness is re-counted on the whole
+    formula with ``satisfied_counter``, independently of the kernel, and the
+    first assignment in ``product`` order with the largest total wins.
     """
-    try:
-        thr = as_threshold_formula(f)
-    except ContractViolationError as exc:
-        raise PreconditionError(str(exc)) from exc
-    verify_cover(thr, cover)
+    if any(c.kind is Kind.PARITY for c in f.constraints):
+        raise PreconditionError("PARITY constraint has no threshold form")
+    verify_cover(f, cover)
     cover_vars = sorted(cover.variables)
-    covered = tuple(thr.constraints[j] for j in sorted(cover.constraints))
-    outside = [c for j, c in enumerate(thr.constraints) if j not in cover.constraints]
+    covered = tuple(f.constraints[j] for j in sorted(cover.constraints))
+    outside = [c for j, c in enumerate(f.constraints) if j not in cover.constraints]
     for c in outside:
         if not cover.variables.issuperset(c.variables):
             raise AssertionError("uncovered constraint with a variable outside the cover")
@@ -252,15 +244,13 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     )
     # Assignments are bitsets, bit x - 1 for variable x.  sigmas lists the
     # cover assignments in ``product`` order; a residual depends only on the
-    # cover variables that occur in covered constraints.
+    # cover variables that occur in covered constraints, the key.
     cover_mask = sum(1 << (x - 1) for x in cover_vars)
-    in_covered = {lit.var for c in covered for lit in c.literals}
-    keyed = [x for x in cover_vars if x in in_covered]
-    keyed_mask = sum(1 << (x - 1) for x in keyed)
+    keyed_mask = sum(1 << (x - 1) for x in cover.variables & {lit.var for c in covered for lit in c.literals})
     sigmas = [0]
     for x in cover_vars:
         sigmas = [s | b for s in sigmas for b in (0, 1 << (x - 1))]
-    count = satisfied_counter(thr)
+    count = satisfied_counter(f)
 
     residuals: dict[int, tuple[int, int]] = {}  # key -> residual total, witness off the cover
     best_value = -1
@@ -269,14 +259,15 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
         key = sigma & keyed_mask
         solved = residuals.get(key)
         if solved is None:
-            residual = Formula(thr.num_vars, covered)
-            delta = 0
-            for x in keyed:
-                residual, d = simplify_fix_variable(residual, x, key >> (x - 1) & 1)
-                delta += d
-            sub = residual_exact_max(residual)
+            true_lits = {Literal(x, bool(key >> (x - 1) & 1)) for x in cover_vars}
+            residual = []
+            for c in covered:
+                off_cover = tuple(lit for lit in c.literals if lit.var not in cover.variables)
+                need = max(c.effective_threshold() - sum(lit in true_lits for lit in c.literals), 0)
+                residual.append(Constraint(Kind.THRESHOLD, off_cover, threshold=need))
+            sub = residual_exact_max(Formula(f.num_vars, tuple(residual)))
             rest = sum(b << i for i, b in enumerate(sub.witness.bits)) & ~cover_mask
-            solved = residuals[key] = (delta + sub.value, rest)
+            solved = residuals[key] = (sub.value, rest)
         residual_total, rest = solved
 
         total = fixed_count + residual_total
@@ -287,4 +278,4 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
             best = rest | sigma
     if best_value < 0:
         raise AssertionError("no cover assignment scored")
-    return OracleResult(best_value, Assignment(tuple(best >> i & 1 for i in range(thr.num_vars))))
+    return OracleResult(best_value, Assignment(tuple(best >> i & 1 for i in range(f.num_vars))))

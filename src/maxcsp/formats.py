@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from typing import Callable
 
 from .errors import MalformedInstanceError, ParseError
 from .model import Constraint, Formula, Kind, Literal
@@ -39,12 +40,21 @@ _TAG_TO_KIND = {v: k for k, v in _KIND_TO_TAG.items()}
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _decimal(token: str) -> int:
-    """``int(token)`` for a token of the form ``[+-]?[0-9]+`` only; ``int``
-    alone also reads ``1_0`` as 10 and takes non-ASCII digits."""
-    if _DECIMAL.fullmatch(token) is None:
-        raise ValueError(token)
-    return int(token)
+def plain_number(convert: Callable) -> Callable:
+    """A parser like ``convert`` (``int``, ``float`` or ``Fraction``) that takes only ASCII text
+    without ``_``, and integers only as ``[+-]?[0-9]+`` (Python's parsers also take ``1_0`` and
+    non-ASCII digits); other text raises ``ValueError``.  It has ``convert``'s name, for argparse."""
+
+    def parse(text: str):
+        if not text.isascii() or "_" in text or convert is int and _DECIMAL.fullmatch(text) is None:
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_decimal = plain_number(int)
 
 
 def parse_instance(text: str) -> Formula:

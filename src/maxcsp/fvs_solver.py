@@ -8,10 +8,11 @@ vertices, solve the acyclic residual exactly with the forest solver, and keep
 the best candidate evaluated on the original formula.  The best candidate
 satisfies at least (1 - eps) * OPT constraints.
 
-The approx route compiles the instance once (``forest_solver.Forest``, on
-the incidence graph that the FVS check built), so each guess costs one
-O(n + m + occ) peel and no formula is rebuilt: 2^|F's variables| peels in
-all.  Guesses run in ``product`` order and the first best one wins.
+Constraints are read in place (``Constraint.effective_threshold``), and one
+incidence graph per request serves the FVS search, the FVS checks and the
+approx route, which compiles the instance once (``forest_solver.Forest``):
+each guess costs one O(n + m + occ) peel, 2^|F's variables| peels in all,
+in ``product`` order, and the first best guess wins.
 """
 
 from __future__ import annotations
@@ -20,25 +21,16 @@ from fractions import Fraction
 from itertools import product
 
 from .cover_solver import residual_exact_max
-from .errors import ContractViolationError, MalformedInstanceError, PreconditionError, ResourceLimitError
+from .errors import MalformedInstanceError, PreconditionError, ResourceLimitError
 from .forest_solver import Forest, solve_forest
 from .graphs import IncidenceGraph, VertexSplit, build_incidence_graph, check_split_range, is_acyclic
-from .model import Assignment, Formula, Kind, as_threshold_formula, count_satisfied
+from .model import Assignment, Formula, Kind, count_satisfied
 from .oracle import OracleResult
 from .report import parse_fraction
 from .structure import feedback_vertex_set, fvs_bounds
 
 ROUTE_EXACT_SMALL = "exact-small"
 ROUTE_APPROX = "approx"
-
-
-def verify_feedback_vertex_set(f: Formula, fvs: VertexSplit) -> IncidenceGraph:
-    """The incidence graph of ``f``, once deleting ``fvs`` is shown to leave a forest."""
-    check_split_range(f, fvs)
-    inc = build_incidence_graph(f)
-    if not is_acyclic(inc.graph, inc.vertices_of(fvs)):
-        raise PreconditionError("deleting the given vertices does not leave a forest")
-    return inc
 
 
 def plan_route(f: Formula, fvs: VertexSplit, epsilon) -> str:
@@ -78,36 +70,34 @@ def solve_with_fvs_search(f: Formula, epsilon, max_fvs: int) -> OracleResult:
                 f"no incidence feedback vertex set within budget {max_fvs}; raise --max-fvs"
             )
         witness = fvs.witness
-    return approx_via_fvs(f, inc.split(witness), epsilon)
+    return approx_via_fvs(f, inc.split(witness), epsilon, inc)
 
 
-def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon) -> OracleResult:
-    """(1 - eps)-approximate MAX-THRESHOLD given a verified feedback vertex set;
-    the result carries the route taken.
-
-    The exact-small route reads only |F|, so every FVS that selects it
-    gives the same result.
+def approx_via_fvs(f: Formula, fvs: VertexSplit, epsilon, inc: IncidenceGraph | None = None) -> OracleResult:
+    """(1 - eps)-approximate MAX-THRESHOLD given a feedback vertex set, checked
+    on ``inc``, the incidence graph of ``f`` (built when not given); the
+    result carries its route.  The exact-small route reads only |F|, so
+    every FVS that selects it gives the same result.
     """
     if any(c.kind is Kind.PARITY for c in f.constraints):
         raise PreconditionError("feedback-vertex-set scheme handles only threshold-style constraints")
-    try:
-        thr = as_threshold_formula(f)
-    except ContractViolationError as exc:
-        raise PreconditionError(str(exc)) from exc
-    inc = verify_feedback_vertex_set(thr, fvs)
-    route = plan_route(thr, fvs, epsilon)
+    check_split_range(f, fvs)
+    inc = build_incidence_graph(f) if inc is None else inc
+    if not is_acyclic(inc.graph, inc.vertices_of(fvs)):
+        raise PreconditionError("deleting the given vertices does not leave a forest")
+    route = plan_route(f, fvs, epsilon)
 
     if route == ROUTE_EXACT_SMALL:
-        res = residual_exact_max(thr)
+        res = residual_exact_max(f)
         return OracleResult(res.value, res.witness, route)
-    forest = Forest(thr, inc, fvs)
+    forest = Forest(f, inc, fvs)
     best_value = -1
     best_witness: Assignment | None = None
     for sigma in product((0, 1), repeat=len(forest.fixed)):
         tree = solve_forest(forest, sigma)
         # Deleted constraints can be satisfied incidentally, so score the
         # witness on the original formula.
-        value = count_satisfied(thr, tree.witness)
+        value = count_satisfied(f, tree.witness)
         if value < tree.value:
             raise AssertionError("original evaluation lost residual constraints")
         if value > best_value:

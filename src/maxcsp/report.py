@@ -11,7 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedInstanceError
+from .formats import plain_number
 from .model import Assignment, Formula, count_satisfied
+
+_FRACTION = plain_number(Fraction)
 
 
 def fraction_str(x: Fraction) -> str:
@@ -20,9 +23,9 @@ def fraction_str(x: Fraction) -> str:
 
 def parse_fraction(text) -> Fraction:
     """Exact rational from user input; floats go through str to keep intent.
-    Text that names no finite rational raises ``MalformedInstanceError``."""
+    Text that names no finite rational in plain ASCII (``plain_number``) raises ``MalformedInstanceError``."""
     try:
-        return Fraction(str(text) if isinstance(text, float) else text)
+        return _FRACTION(str(text)) if isinstance(text, (str, float)) else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise MalformedInstanceError(f"not a rational number: {text!r}") from None
 

@@ -39,6 +39,14 @@ HUB2 = (
 # x2 and x3 swapped, x2 breaks its tie by the parent literal (witness 000)
 SIBLING_TIE = "p mcsp 3 3\nt 1 1 -2 -3 0\nt 1 3 0\nt 1 -3 0\n"
 SIBLING_TIE_SWAPPED = "p mcsp 3 3\nt 1 1 -3 -2 0\nt 1 2 0\nt 1 -2 0\n"
+# a six-variable THRESHOLD/MAJORITY instance and a planted-cover instance, as in
+# the benchmark's exact-residual corpus
+SIX_VARIABLE = (
+    "p mcsp 6 16\nt 1 -2 -6 0\nm -4 3 1 -6 0\nm 2 -1 0\nm 6 5 0\nm 6 -5 -4 -2 0\nm 1 3 -5 0\n"
+    "m -2 1 4 5 0\nt 1 -3 -2 0\nt 1 3 -1 5 -6 0\nt 1 -3 -5 -2 0\nm 3 6 1 0\nm -5 -2 -3 -4 0\n"
+    "t 2 -5 2 3 0\nm -2 5 -6 4 0\nt 1 1 5 0\nm 3 6 1 0\n"
+)
+PLANTED_COVER = "p mcsp 16 8\nm 5 -12 -14 0\nm -2 -3 0\nm 10 13 5 14 -4 -2 0\nt 1 8 1 6 -2 16 0\nt 1 -1 -2 0\nt 1 1 0\nm 3 0\nm -2 0\n"
 # variable 5 occurs nowhere, so its bit in the cw-as witness comes from the seed
 CNF = "p mcsp 5 5\no 1 2 0\no -1 3 0\no -2 -3 0\no 1 2 3 4 0\no -4 0\n"
 
@@ -318,6 +326,52 @@ PINNED_SOLVE_JSON = [
   "witness": "000"
 }
 '''),
+    # MAJORITY-heavy residuals: each covered MAJORITY keeps the need of its full arity
+    (SIX_VARIABLE, ["--alg", "vc", "--with-oracle"], '''\
+{
+  "algorithm": "vc",
+  "epsilon": null,
+  "instance_digest": "7a03065cbecadafbd8e2483eed213ece59807a9cf8987041687bebfcd256afdd",
+  "oracle_value": 15,
+  "ratio": "1/1",
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 15,
+  "witness": "101101"
+}
+'''),
+    (PLANTED_COVER, ["--alg", "vc", "--with-oracle"], '''\
+{
+  "algorithm": "vc",
+  "epsilon": null,
+  "instance_digest": "497be6ba4fbba201bdbfd695b03956bfd9007fa092f598e5013db72ee8643849",
+  "oracle_value": 8,
+  "ratio": "1/1",
+  "route": null,
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 8,
+  "witness": "1010100000000000"
+}
+'''),
+    (SIX_VARIABLE, ["--alg", "fvs-as", "--epsilon", "1/2", "--with-oracle"], '''\
+{
+  "algorithm": "fvs-as",
+  "epsilon": "1/2",
+  "instance_digest": "7a03065cbecadafbd8e2483eed213ece59807a9cf8987041687bebfcd256afdd",
+  "oracle_value": 15,
+  "ratio": "1/1",
+  "route": "exact-small",
+  "satisfiable": null,
+  "seed": null,
+  "trials": null,
+  "value": 15,
+  "witness": "101101"
+}
+'''),
 ]
 
 
@@ -332,14 +386,56 @@ def test_solve_json_bytes_are_pinned(tmp_path, capsys, text, argv, expected):
     assert json.loads(out)["instance_digest"] == instance_digest(parse_instance(text))
 
 
-# a six-variable THRESHOLD/MAJORITY instance and a planted-cover instance, as in
-# the benchmark's exact-residual corpus
-SIX_VARIABLE = (
-    "p mcsp 6 16\nt 1 -2 -6 0\nm -4 3 1 -6 0\nm 2 -1 0\nm 6 5 0\nm 6 -5 -4 -2 0\nm 1 3 -5 0\n"
-    "m -2 1 4 5 0\nt 1 -3 -2 0\nt 1 3 -1 5 -6 0\nt 1 -3 -5 -2 0\nm 3 6 1 0\nm -5 -2 -3 -4 0\n"
-    "t 2 -5 2 3 0\nm -2 5 -6 4 0\nt 1 1 5 0\nm 3 6 1 0\n"
-)
-PLANTED_COVER = "p mcsp 16 8\nm 5 -12 -14 0\nm -2 -3 0\nm 10 13 5 14 -4 -2 0\nt 1 8 1 6 -2 16 0\nt 1 -1 -2 0\nt 1 1 0\nm 3 0\nm -2 0\n"
+def test_each_request_builds_one_incidence_graph_and_copies_no_formula(tmp_path, capsys, monkeypatch):
+    # Every binding of these functions in a maxcsp module is wrapped, as the
+    # benchmark tracer does, so a call through any import is counted.
+    import sys
+    from collections import Counter
+
+    from maxcsp import graphs, model
+
+    calls: Counter = Counter()
+    originals = (graphs.build_incidence_graph, model.as_threshold_formula, model.simplify_fix_variable)
+
+    def spy(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        if name == "maxcsp" or name.startswith("maxcsp."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, spy(value))
+
+    def builds_per_unit(argv, units):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls["as_threshold_formula"] == calls["simplify_fix_variable"] == 0
+        assert calls["build_incidence_graph"] <= units
+
+    six = write(tmp_path, "six.mcsp", SIX_VARIABLE)
+    (tmp_path / "d").mkdir()
+    forest, hub = write(tmp_path / "d", "a.mcsp", FOREST), write(tmp_path / "d", "b.mcsp", HUB)
+    for argv, route in [
+        (["solve", forest, "--alg", "tree"], None),
+        (["solve", six, "--alg", "vc"], None),
+        (["solve", hub, "--alg", "fvs-as", "--epsilon", "1/2"], "approx"),
+        (["solve", six, "--alg", "fvs-as", "--epsilon", "1/2"], "exact-small"),
+    ]:
+        builds_per_unit([*argv, "--json"], 1)
+        assert json.loads(capsys.readouterr().out)["route"] == route
+    builds_per_unit(["analyze", six], 1)
+    # one unit per row: two instances, three algorithms
+    out = str(tmp_path / "rows.csv")
+    argv = ["compare", "--algs", "tree,vc,fvs-as", "--epsilons", "1/2", "--dir", str(tmp_path / "d"), "--workers", "1"]
+    builds_per_unit([*argv, "-o", out], 6)
+    with open(out) as fh:
+        assert len(fh.read().splitlines()) == 1 + 6
+
+
 # the arguments of a `generate` that writes the instance
 GADGET = ["mcc-thr", "--k", "2", "--n", "2", "--complete"]
 
@@ -440,6 +536,13 @@ def test_analyze_json_bytes_are_pinned(tmp_path, capsys, source, argv, expected)
         (["solve", "{file}", "--alg", "tree", "--trials", "0"], "trials must be at least 1, got 0"),
         (["compare", "--algs", "oracle", "--dir", "{dir}", "--oracle-limit", "-1", "-o", "{out}"],
          "oracle-limit must be at least 0, got -1"),
+        # numbers are plain ASCII without underscores, as in instance files
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1_0/20"], "'1_0/20'"),
+        (["solve", "{file}", "--alg", "fvs-as", "--epsilon", "\uff11/4"], "'\uff11/4'"),
+        (["compare", "--algs", "oracle,cw-as", "--epsilons", "1/4,1_0/20", "--dir", "{dir}", "-o", "{out}"],
+         "'1_0/20'"),
+        (["generate", "random", "-o", "{out}", "--kinds", "OR=1_0"], "'1_0'"),
+        (["generate", "random", "-o", "{out}", "--kinds", "OR=\uff10.5"], "'\uff10.5'"),
     ],
 )
 def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):
@@ -453,6 +556,55 @@ def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, arg
     assert captured.err.startswith("error:") and message in captured.err
     assert "Traceback" not in captured.err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, option, value_type, value",
+    [
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4"], "--trials", "int", "1_0"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4"], "--trials", "int", "\uff13"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4"], "--seed", "int", "\u0663"),
+        (["solve", "{file}", "--alg", "fvs-as", "--epsilon", "1/2"], "--max-fvs", "int", "1_2"),
+        (["solve", "{file}", "--alg", "oracle"], "--oracle-limit", "int", " 3"),
+        (["analyze", "{file}"], "--max-vc", "int", "1_6"),
+        (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2"], "--edge-prob", "float", "0.2_5"),
+        (["generate", "mcc-cnf", "-o", "{out}", "--k", "2", "--n", "2"], "--edge-prob", "float", "\uff10.5"),
+        (["generate", "mcc-cnf", "-o", "{out}", "--n", "2", "--complete"], "--k", "int", "\uff12"),
+        (["generate", "random", "-o", "{out}"], "--num-vars", "int", "1_0"),
+        (["compare", "--algs", "oracle", "--dir", "{dir}", "-o", "{out}"], "--workers", "int", "1_0"),
+    ],
+)
+def test_numeric_options_read_only_plain_ascii_numbers(tmp_path, capsys, argv, option, value_type, value):
+    # the same usage error as for a value like "abc"
+    file = write(tmp_path, "a.mcsp", "p mcsp 2 2\no 1 2 0\no -1 0\n")
+    out = str(tmp_path / "out.txt")
+    argv = [a.format(file=file, dir=tmp_path, out=out) for a in argv] + [option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: maxcsp")
+    assert captured.err.endswith(f"error: argument {option}: invalid {value_type} value: {value!r}\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, same",
+    [
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4"], "--trials", "+1", "1"),
+        (["solve", "{file}", "--alg", "cw-as", "--epsilon", "1/4"], "--seed", "-3", "-03"),
+        (["solve", "{file}", "--alg", "cw-as"], "--epsilon", "0.25", "1/4"),
+        (["solve", "{file}", "--alg", "fvs-as"], "--epsilon", "1e-1", "1/10"),
+        (["generate", "mcc-cnf", "-o", "-", "--k", "2", "--n", "2"], "--edge-prob", "0.25", "2.5e-1"),
+        (["generate", "random", "-o", "-", "--kinds", "OR=0.25,AND=1e-1"], "--seed", "+4", "4"),
+    ],
+)
+def test_signed_decimal_and_exponent_numbers_still_parse(tmp_path, capsys, argv, option, value, same):
+    file = write(tmp_path, "a.mcsp", "p mcsp 2 2\no 1 2 0\no -1 0\n")
+    argv = [a.format(file=file) for a in argv]
+    code, out = run_cli(capsys, *argv, option, value)
+    assert code == 0 and out
+    assert run_cli(capsys, *argv, option, same) == (code, out)
 
 
 @pytest.mark.parametrize(
@@ -559,6 +711,26 @@ def test_generate_conversions(tmp_path, capsys):
     cnf = write(tmp_path, "cnf.mcsp", "p mcsp 2 1\no 1 2 0\n")
     code = main(["generate", "cnf2maj", "--input", cnf, "-o", str(tmp_path / "m2.mcsp")])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "what, text, message, alg, solve_message",
+    [
+        ("thr2maj", "p mcsp 3 2\nt 1 1 2 0\nx 1 2 3 0\n", "PARITY constraint has no threshold form",
+         ["vc"], "PARITY constraint has no threshold form"),
+        ("cnf2maj", "p mcsp 3 2\no 1 2 0\na 2 3 0\n", "cnf_to_majority expects only OR constraints",
+         ["cw-as", "--epsilon", "1/4"], "expected a CNF formula (OR constraints only)"),
+    ],
+)
+def test_conversion_of_the_wrong_kinds_exits_2_like_solve(tmp_path, capsys, what, text, message, alg, solve_message):
+    src = write(tmp_path, "in.mcsp", text)
+    out = str(tmp_path / "out.mcsp")
+    assert main(["generate", what, "-o", out, "--input", src]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not os.path.exists(out)
+    # the solver that rejects the same input kinds exits 2 as well
+    assert main(["solve", src, "--alg", *alg]) == 2
+    assert capsys.readouterr() == ("", f"error: {solve_message}\n")
 
 
 def test_compare_deterministic_with_workers(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from maxcsp import (
     Constraint,
+    ContractViolationError,
     Formula,
     Kind,
     Literal,
@@ -403,6 +404,31 @@ def test_cover_solver_rejects_parity_in_any_cover():
     ):
         with pytest.raises(PreconditionError, match="PARITY constraint has no threshold form"):
             solve_via_vertex_cover(f, cover)
+
+
+def test_residual_keeps_the_need_of_the_full_arity(monkeypatch):
+    # MAJORITY over 5 literals needs 3; with x1 and x2 in the cover, its
+    # residual over x3..x5 needs 3 less the cover literals made true, never
+    # the 2 that a MAJORITY over three literals would need.
+    f = Formula(5, (Constraint(Kind.MAJORITY, (Literal(1), Literal(2, False), Literal(3), Literal(4), Literal(5))),))
+    residuals = []
+    real = cover_solver.residual_exact_max
+
+    def spy(g):
+        residuals.append(g.constraints)
+        return real(g)
+
+    monkeypatch.setattr(cover_solver, "residual_exact_max", spy)
+    res = solve_via_vertex_cover(f, VertexSplit(frozenset({1, 2}), frozenset({0})))
+    assert (res.value, res.witness.bitstring()) == (1, "00110")
+    lits = (Literal(3), Literal(4), Literal(5))
+    # keys in product order of (x1, x2): 00, 01, 10, 11
+    assert residuals == [(at_least(t, *lits),) for t in (2, 3, 1, 2)]
+
+
+def test_residual_exact_max_rejects_parity():
+    with pytest.raises(ContractViolationError):
+        residual_exact_max(Formula(3, (or_clause(1, 2), parity(1, 2, 3))))
 
 
 def test_verify_cover_reports_first_uncovered_occurrence():
