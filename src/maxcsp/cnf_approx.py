@@ -19,7 +19,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -236,15 +235,19 @@ def _draw_candidates(
 ) -> np.ndarray:
     """The candidates of ``trials``, one row each in (trial, label) order:
     the label's base values, and for the other variables, in ascending
-    order, one ``getrandbits(1)`` each of ``random.Random(f"{seed}:{trial}:{label}")``."""
+    order, one ``getrandbits(1)`` each of ``random.Random(f"{seed}:{trial}:{label}")``.
+
+    ``getrandbits(1)`` is the top bit of one 32-bit generator output, and
+    ``randbytes(4 * k)`` lays k outputs out as little-endian words in order,
+    so each stream is drawn in one call and read as the words' top bits."""
     x = np.empty((len(trials), len(candidates), num_vars), dtype=np.uint8)
     for i, (label, base) in enumerate(candidates):
         free = [v - 1 for v in range(1, num_vars + 1) if v not in base]
         x[:, i] = [base.get(v, 0) for v in range(1, num_vars + 1)]
-        x[:, i, free] = [
-            list(map(random.Random(f"{seed}:{trial}:{label}").getrandbits, repeat(1, len(free))))
-            for trial in trials
-        ]
+        words = b"".join(
+            random.Random(f"{seed}:{trial}:{label}").randbytes(4 * len(free)) for trial in trials
+        )
+        x[:, i, free] = (np.frombuffer(words, "<u4") >> 31).reshape(len(trials), len(free))
     return x.reshape(len(trials) * len(candidates), num_vars)
 
 

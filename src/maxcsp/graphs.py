@@ -60,8 +60,10 @@ class TwoCore:
     ``dead`` holds ``removed`` plus every vertex outside the 2-core: the
     vertices that repeatedly deleting a vertex of degree at most one takes
     away.  ``degree[v]`` is the number of neighbours of v outside ``dead``
-    for every live v.  The core is empty exactly when G − removed is a
-    forest, and every cycle of G − removed lies inside the core.
+    for every live v, and 0 for every dead v, so the live vertices are those
+    of non-zero degree (each at least two).  The core is empty exactly when
+    G − removed is a forest, and every cycle of G − removed lies inside the
+    core.
     """
 
     __slots__ = ("graph", "dead", "degree")
@@ -69,12 +71,12 @@ class TwoCore:
     def __init__(self, g: Graph, removed: Iterable[int] = frozenset()):
         self.graph = g
         self.dead = dead = set(removed)
-        self.degree = [len(a - dead) for a in g.adj]
+        self.degree = [0 if v in dead else len(a - dead) for v, a in enumerate(g.adj)]
         self._delete([v for v, d in enumerate(self.degree) if d <= 1 and v not in dead])
 
     @property
     def is_empty(self) -> bool:
-        return self.dead.issuperset(range(self.graph.num_vertices))
+        return not any(self.degree)
 
     def without(self, v: int) -> TwoCore:
         """The 2-core after also deleting ``v``; peels outward from v only."""
@@ -123,6 +125,100 @@ class TwoCore:
                     return best
         return best
 
+    def branch_cycle(self) -> list[int] | None:
+        """The branch set of a cycle of the core with few branch options, or
+        None when the core is empty.
+
+        A run is a maximal path of core-degree-2 vertices; a component that
+        is a bare cycle is one run.  A cycle's branch set holds its vertices
+        of core degree at least three and the smallest vertex of each run on
+        it.  The search is a BFS over the core in which a whole run is one
+        step: a run entered at one level is walked to its far end at that
+        level.  So BFS depth counts branch options rather than vertices.  It
+        starts from each vertex of core degree at least three in turn, keeps
+        the cycle with the fewest options closed by a non-tree edge, and
+        stops once one of at most four options is in hand; a bare cycle is
+        taken at once.  The branch set comes sorted, and is deterministic
+        for a fixed graph and core.
+        """
+        g, degree = self.graph, self.degree
+        adj, sorted_adj = g.adj, g.sorted_adj
+        walked: set[int] = set()
+        best: list[int] | None = None
+        for root in range(g.num_vertices):
+            d = degree[root]
+            if not d or root in walked:
+                continue
+            if d == 2:
+                # walk the run both ways; back at root, it is a bare cycle
+                run = [root]
+                for first in [x for x in adj[root] if degree[x]]:
+                    prev, cur = root, first
+                    while cur != root and degree[cur] == 2:
+                        run.append(cur)
+                        prev, cur = cur, next(x for x in adj[cur] if x != prev and degree[x])
+                    if cur == root:
+                        return [min(run)]
+                walked.update(run)
+                continue
+            parent: dict[int, int | None] = {root: None}
+            frontier = [root]
+            found: list[int] | None = None
+            while frontier and found is None:
+                nxt = []
+                for u in frontier:
+                    if degree[u] == 2:
+                        # u entered a run: walk on to its far end
+                        prev, cur = parent[u], u
+                        while True:
+                            for w in adj[cur]:
+                                if w != prev and degree[w]:
+                                    break
+                            if w in parent:
+                                found = _close_cycle(cur, w, parent)
+                                break
+                            parent[w] = cur
+                            if degree[w] != 2:
+                                nxt.append(w)
+                                break
+                            prev, cur = cur, w
+                    else:
+                        for w in sorted_adj[u]:
+                            if not degree[w]:
+                                continue
+                            if w not in parent:
+                                parent[w] = u
+                                nxt.append(w)
+                            elif parent[u] != w and parent[w] != u:
+                                found = _close_cycle(u, w, parent)
+                                break
+                    if found is not None:
+                        break
+                frontier = nxt
+            if found is None:
+                continue
+            # A run on a cycle lies on it whole, so the runs are the maximal
+            # stretches of core-degree-2 vertices.  The cycle was reached from
+            # a vertex of core degree at least three, so it has one to start at.
+            i = next(i for i, v in enumerate(found) if degree[v] != 2)
+            options: list[int] = []
+            low = -1  # smallest vertex of the run being passed, if any
+            for v in found[i:] + found[:i]:
+                if degree[v] != 2:
+                    if low >= 0:
+                        options.append(low)
+                        low = -1
+                    options.append(v)
+                elif low < 0 or v < low:
+                    low = v
+            if low >= 0:
+                options.append(low)
+            if best is None or len(options) < len(best):
+                best = options
+                if len(best) <= 4:
+                    break
+        return None if best is None else sorted(best)
+
     def _delete(self, stack: list[int]) -> None:
         # Delete the stacked vertices, then every vertex whose degree drops
         # to one.  Each vertex is deleted once and each edge lowers one
@@ -133,6 +229,7 @@ class TwoCore:
             if v in dead:
                 continue
             dead.add(v)
+            degree[v] = 0
             for w in adj[v]:
                 if w not in dead:
                     degree[w] -= 1

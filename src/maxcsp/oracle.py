@@ -3,6 +3,7 @@ and a seeded random-instance generator."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -323,6 +324,8 @@ def random_formula(
             kind = k if isinstance(k, Kind) else Kind(str(k).upper())
         except ValueError:
             raise MalformedInstanceError(f"unknown constraint kind {k!r}") from None
+        if not math.isfinite(w):
+            raise MalformedInstanceError(f"kind weight {w!r} is not finite")
         if w < 0:
             raise MalformedInstanceError("kind weights must be non-negative")
         mix[kind] = mix.get(kind, 0.0) + w
@@ -330,6 +333,8 @@ def random_formula(
     if not kinds:
         raise MalformedInstanceError("kind_mix selects no constraint kind")
     weights = [mix[k] for k in kinds]
+    if not math.isfinite(sum(weights)):
+        raise MalformedInstanceError("the kind weights' total is not finite")
 
     rng = random.Random(seed)
     constraints = []

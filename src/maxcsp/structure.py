@@ -4,7 +4,8 @@ Neighborhood diversity is exact and polynomial.  Vertex cover and feedback
 vertex set are exact but exponential, so both run under a budget and report
 when the budget is exceeded instead of searching unboundedly.  The twin
 classes and the vertex-cover search read the graph's adjacency bitsets
-(``Graph.masks``); the FVS search keeps a 2-core per node.
+(``Graph.masks``); the FVS search keeps a 2-core per node and branches
+once per run of core-degree-2 vertices.
 """
 
 from __future__ import annotations
@@ -143,17 +144,24 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
 def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedResult:
     """Exact minimum feedback vertex set if its size is within the budget.
 
-    Complete bounded-depth search: find a short cycle and branch on each of
-    its vertices.  Every node carries the 2-core of G − chosen, updated
-    incrementally by the degree-at-most-one deletion rule, so a node whose
-    core is empty is a leaf without a cycle search, and the cycle search
-    (``TwoCore.short_cycle``) runs on that core without peeling again.  The
-    greedy FVS of ``fvs_bounds`` is the first incumbent when it fits the
-    budget, and a node is pruned when ``len(chosen)`` plus the core's
-    cycle-rank bound exceeds the budget or the incumbent's size.  Both tests
-    are strict and every FVS contains a vertex of the branched cycle, so
-    every minimum FVS is still reached and ties between optimal witnesses go
-    to the lexicographically smallest vertex set.  Previously explored
+    Complete bounded-depth search: find a cycle and branch on its branch
+    set.  Every node carries the 2-core of G − chosen, updated incrementally
+    by the degree-at-most-one deletion rule, so a node whose core is empty
+    is a leaf without a cycle search, and the cycle search
+    (``TwoCore.branch_cycle``) runs on that core without peeling again.  A
+    run is a maximal path of core-degree-2 vertices, and a cycle's branch
+    set is its vertices of core degree at least three plus the smallest
+    vertex of each run on it (the degree-2 bypass of Cygan et al.,
+    *Parameterized Algorithms*, 2015, §3.3).  Deleting any vertex of a run
+    leaves the same 2-core, so a minimum FVS that uses some other vertex of
+    a run can swap in the run's smallest vertex and become lexicographically
+    smaller: the lexicographically smallest minimum FVS meets every
+    cycle's branch set.  The greedy FVS of ``fvs_bounds`` is the first
+    incumbent when it fits the budget, and a node is pruned when
+    ``len(chosen)`` plus the core's cycle-rank bound exceeds the budget or
+    the incumbent's size.  Both tests are strict, so that FVS is still
+    reached whenever it fits the budget, and ties between optimal witnesses
+    go to the lexicographically smallest vertex set.  Previously explored
     deletion sets are memoized.
     """
     if budget < 0:
@@ -173,7 +181,7 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
         bound = len(chosen) + _cycle_rank_bound(core)
         if bound > budget or (best[0] is not None and bound > best[0]):
             return
-        for v in sorted(core.short_cycle()):
+        for v in core.branch_cycle():
             child = chosen | {v}
             if child not in seen:
                 rec(child, core.without(v))
@@ -193,8 +201,7 @@ def _cycle_rank_bound(core: TwoCore) -> int:
     # E − V + 1, and deleting a vertex of core degree d lowers it by at most
     # d − 1: an FVS needs at least as many vertices as the fewest largest
     # degrees whose (d − 1) sum reaches E − V + 1.  Zero on an empty core.
-    dead = core.dead
-    degrees = sorted((d for v, d in enumerate(core.degree) if v not in dead), reverse=True)
+    degrees = sorted(filter(None, core.degree), reverse=True)
     need = sum(degrees) // 2 - len(degrees) + 1
     count = 0
     for d in degrees:

@@ -237,6 +237,40 @@ def brute_lex_min_fvs(g: Graph, max_size: int) -> tuple[int, ...] | None:
     return None
 
 
+def reference_fvs(g: Graph, budget: int) -> tuple[int, ...] | None:
+    """The lexicographically smallest minimum FVS within ``budget``, or None.
+
+    The branch-and-bound search without the degree-2 bypass: it branches on
+    every vertex of ``TwoCore.short_cycle``, under the same memo, cycle-rank
+    bound and greedy incumbent as ``feedback_vertex_set``.
+    """
+    from maxcsp.graphs import TwoCore
+    from maxcsp.structure import _cycle_rank_bound, _greedy_fvs
+
+    root = TwoCore(g)
+    greedy = _greedy_fvs(root)
+    best: list = [greedy] if len(greedy) <= budget else [None]
+    seen: set[frozenset[int]] = set()
+
+    def rec(chosen: frozenset[int], core: TwoCore) -> None:
+        seen.add(chosen)
+        if core.is_empty:
+            cand = tuple(sorted(chosen))
+            if best[0] is None or (len(cand), cand) < (len(best[0]), best[0]):
+                best[0] = cand
+            return
+        bound = len(chosen) + _cycle_rank_bound(core)
+        if bound > budget or (best[0] is not None and bound > len(best[0])):
+            return
+        for v in sorted(core.short_cycle()):
+            child = chosen | {v}
+            if child not in seen:
+                rec(child, core.without(v))
+
+    rec(frozenset(), root)
+    return best[0]
+
+
 def is_forest_by_union_find(g: Graph, removed=(), edges=None) -> bool:
     """Forest test independent of the library: no edge closes a union-find cycle."""
     gone = set(removed)
@@ -316,6 +350,29 @@ def with_pendant_trees(g: Graph, extra: int, rng: random.Random) -> Graph:
     n = g.num_vertices
     edges = g.edge_list() + [(v, rng.randrange(v)) for v in range(n, n + extra)]
     return Graph(n + extra, edges)
+
+
+def joined_by_paths(num_vertices: int, paths) -> Graph:
+    """Vertices 0..num_vertices-1, and per (u, v, k) in ``paths`` a path
+    from u to v through k new vertices (u == v makes a cycle through u)."""
+    n, edges = num_vertices, []
+    for u, v, k in paths:
+        path = [u, *range(n, n + k), v]
+        n += k
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
+def subdivided(g: Graph, lengths) -> Graph:
+    """``g`` with its i-th edge (in ``edge_list`` order) replaced by a path
+    through ``lengths[i]`` new vertices."""
+    return joined_by_paths(g.num_vertices, [(u, v, k) for (u, v), k in zip(g.edge_list(), lengths)])
+
+
+def theta_graph(lengths) -> Graph:
+    """Two hub vertices joined by one path through ``k`` new vertices per k
+    in ``lengths`` (at most one k may be 0, a direct edge)."""
+    return joined_by_paths(2, [(0, 1, k) for k in lengths])
 
 
 def random_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:

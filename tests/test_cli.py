@@ -543,6 +543,9 @@ def test_analyze_json_bytes_are_pinned(tmp_path, capsys, source, argv, expected)
          "'1_0/20'"),
         (["generate", "random", "-o", "{out}", "--kinds", "OR=1_0"], "'1_0'"),
         (["generate", "random", "-o", "{out}", "--kinds", "OR=\uff10.5"], "'\uff10.5'"),
+        (["generate", "random", "-o", "{out}", "--kinds", "OR=inf"], "kind weight inf is not finite"),
+        (["generate", "random", "-o", "{out}", "--kinds", "OR=1e308,AND=1e308"], "total is not finite"),
+        (["generate", "random", "-o", "{out}", "--kinds", "OR=nan,AND=1"], "kind weight nan is not finite"),
     ],
 )
 def test_bad_arguments_and_paths_exit_1_with_an_error_line(tmp_path, capsys, argv, message):

@@ -426,3 +426,21 @@ def test_integer_selection_matches_fraction_reference():
     # eps = 1/2 on the split approx_max_cnf makes with window exponent 1
     part = clause_partition(next(boundary_cnf()), Fraction(1, 4), 1)
     assert select_sparse_variables(part, Fraction(1, 2)).variables == (1, 2, 3)
+
+
+@pytest.mark.parametrize("free_count", [0, 1, 31, 32, 33, 200])
+def test_candidate_draw_equals_one_getrandbits_per_free_variable(free_count):
+    num_vars = free_count + 3
+    labels = ["a", "b:7", ""]
+    candidates = [(label, {free_count + 1: 1, free_count + 2: 0, free_count + 3: 1}) for label in labels]
+    for seed in (0, 1, 12345):
+        trials = range(seed % 3, seed % 3 + 4)
+        x = cnf_approx._draw_candidates(candidates, num_vars, seed, trials)
+        row = 0
+        for trial in trials:
+            for label, base in candidates:
+                rng = random.Random(f"{seed}:{trial}:{label}")
+                expected = [base[v] if v in base else rng.getrandbits(1) for v in range(1, num_vars + 1)]
+                assert x[row].tolist() == expected, (seed, trial, label)
+                row += 1
+        assert row == len(x)

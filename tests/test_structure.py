@@ -7,6 +7,7 @@ from maxcsp import (
     random_formula,
     Graph,
     MalformedInstanceError,
+    MccGraph,
     analyze_graph,
     build_incidence_graph,
     complete_mcc,
@@ -32,13 +33,19 @@ from helpers import (
     cycle_graph,
     disjoint_union,
     is_forest_by_union_find,
+    joined_by_paths,
     minimum_partition_size,
     path_graph,
     petersen_graph,
     random_forest_graph,
+    random_fvs_variable_hub_instance,
     random_graph,
+    random_small_fvs_instance,
+    reference_fvs,
     relabel,
     star_graph,
+    subdivided,
+    theta_graph,
     twin_classes,
     with_pendant_trees,
 )
@@ -263,20 +270,39 @@ def test_witness_is_lex_smallest_when_the_greedy_fvs_is_minimum_but_not_lex_smal
     assert feedback_vertex_set(g, 12).witness == brute_lex_min_fvs(g, 12) == (0, 2)
 
 
-def test_gadget_fvs_is_found_with_few_cycle_searches(monkeypatch):
+def _count_cycle_searches(monkeypatch) -> list:
     calls = []
-    search = TwoCore.short_cycle
+    search = TwoCore.branch_cycle
 
     def counting(core):
         calls.append(1)
         return search(core)
 
-    monkeypatch.setattr(TwoCore, "short_cycle", counting)
+    monkeypatch.setattr(TwoCore, "branch_cycle", counting)
+    return calls
+
+
+def test_gadget_fvs_is_found_with_few_cycle_searches(monkeypatch):
+    calls = _count_cycle_searches(monkeypatch)
     g = build_incidence_graph(mcc_to_threshold(complete_mcc(2, 3)).formula).graph
     res = feedback_vertex_set(g, 8)
     assert res.witness == (33, 38, 49, 50, 60, 61)
-    # 67 with the cycle-rank bound and the greedy incumbent; 1867 without.
-    assert len(calls) <= 200
+    # 38 branching once per run; 67 on every vertex of the shortest cycle,
+    # and 1867 without the cycle-rank bound and the greedy incumbent.
+    assert len(calls) == 38
+
+
+def test_k3_gadget_fvs_is_searched_in_few_nodes(monkeypatch):
+    calls = _count_cycle_searches(monkeypatch)
+    g = build_incidence_graph(mcc_to_threshold(complete_mcc(3, 3)).formula).graph
+    assert feedback_vertex_set(g, 14).exceeded
+    # 388 cycle searches branching once per run (1334 TwoCore.without calls;
+    # 5523 on every vertex of the shortest cycle)
+    assert len(calls) <= 500
+    calls.clear()
+    res = feedback_vertex_set(g, 18)
+    assert res.witness == (0, 1, 3, 80, 85, 96, 107, 108, 118, 129, 130, 140, 141, 151, 152)
+    assert len(calls) <= 4000  # 3511
 
 
 def test_fvs_at_every_budget_up_to_the_minimum():
@@ -327,3 +353,98 @@ def test_nd_classes_and_kinds_equal_the_pairwise_twin_test():
         assert list(nd.classes) == classes, g
         kinds = ["clique" if len(c) > 1 and c[1] in g.adj[c[0]] else "independent" for c in classes]
         assert list(nd.kinds) == kinds, g
+
+
+def _bouquet(lengths) -> Graph:
+    # cycles through vertex 0, the k-th through lengths[k] new vertices
+    return joined_by_paths(1, [(0, 0, k) for k in lengths])
+
+
+def _chain_families():
+    """Seeded graphs made mostly of degree-2 runs, to check the run bypass."""
+    rng = random.Random(71)
+    for base in (complete_graph(4), complete_graph(5), petersen_graph()):
+        for _ in range(3):
+            yield relabel(subdivided(base, [rng.randint(1, 6) for _ in range(base.num_edges)]), rng)
+    for lengths in ((0, 1, 2), (1, 1, 1), (2, 5, 3), (0, 3, 3, 4), (1, 2, 3, 4, 5)):
+        yield relabel(theta_graph(lengths), rng)
+    for lengths in ((2, 2), (2, 3, 4), (5, 2, 6, 3)):
+        yield relabel(_bouquet(lengths), rng)
+    # K4 plus a second run between two of its vertices, and pendant trees
+    k4_twice = Graph(7, complete_graph(4).edge_list() + [(0, 4), (4, 5), (5, 6), (6, 1)])
+    yield relabel(with_pendant_trees(k4_twice, 5, rng), rng)
+    # bare cycles beside a subdivided K4
+    k4 = subdivided(complete_graph(4), [2, 1, 3, 1, 2, 4])
+    yield relabel(disjoint_union(cycle_graph(5), k4, cycle_graph(3), _bouquet((2, 3))), rng)
+    for _ in range(4):
+        yield build_incidence_graph(random_small_fvs_instance(rng, hubs=rng.randint(2, 3))[0]).graph
+        yield build_incidence_graph(random_fvs_variable_hub_instance(rng)[0]).graph
+    edges = sorted(complete_mcc(2, 2).edges)
+    for graph in ([edges[0]], [edges[0], edges[3]], edges[:3], edges):
+        yield build_incidence_graph(mcc_to_threshold(MccGraph(2, 2, frozenset(graph))).formula).graph
+
+
+def test_fvs_equals_the_reference_search_on_chain_heavy_graphs():
+    # Branching once per run must leave the size, the witness and the
+    # exceeded verdict as the search that branches on every cycle vertex.
+    for g in _chain_families():
+        lex = reference_fvs(g, g.num_vertices)
+        if g.num_vertices <= 20:
+            assert lex == brute_lex_min_fvs(g, g.num_vertices), g
+        for budget in range(len(lex) + 2):
+            res = feedback_vertex_set(g, budget)
+            assert res.witness == reference_fvs(g, budget), (g, budget)
+            assert res.size == (None if res.witness is None else len(res.witness))
+
+
+def _runs(core: TwoCore) -> dict[int, frozenset[int]]:
+    # every core-degree-2 vertex mapped to the vertex set of its run, by a
+    # flood fill over the core-degree-2 vertices
+    g, live = core.graph, [v for v in range(core.graph.num_vertices) if v not in core.dead]
+    runs: dict[int, frozenset[int]] = {}
+    for v in live:
+        if core.degree[v] != 2 or v in runs:
+            continue
+        run, stack = {v}, [v]
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if w not in core.dead and core.degree[w] == 2 and w not in run:
+                    run.add(w)
+                    stack.append(w)
+        for w in run:
+            runs[w] = frozenset(run)
+    return runs
+
+
+def test_branch_cycle_is_the_branch_set_of_a_cycle():
+    rng = random.Random(73)
+    graphs = list(_chain_families()) + list(_fvs_families())
+    graphs += [random_graph(rng.randint(3, 12), rng.random(), rng) for _ in range(60)]
+    for g in graphs:
+        some = frozenset(v for v in range(g.num_vertices) if rng.random() < 0.15)
+        for removed in (frozenset(), some):
+            core = TwoCore(g, removed)
+            options = core.branch_cycle()
+            assert (options is None) == core.is_empty
+            if options is None:
+                continue
+            assert options == sorted(set(options))
+            runs = _runs(core)
+            cycle = set()
+            for v in options:
+                assert v not in core.dead
+                if core.degree[v] == 2:
+                    assert v == min(runs[v])
+                    cycle |= runs[v]
+                else:
+                    cycle.add(v)
+            # the options and their runs hold a cycle, and each run lies on it whole
+            assert not is_forest_by_union_find(g, set(range(g.num_vertices)) - cycle), (g, removed)
+            assert all(sum(w in cycle for w in g.adj[v]) >= 2 for v in cycle)
+
+
+def test_branch_cycle_takes_a_bare_cycle_at_once_and_a_short_one_in_a_dense_core():
+    assert TwoCore(disjoint_union(complete_graph(5), relabel(cycle_graph(6), random.Random(1)))).branch_cycle() == [0, 1, 2]
+    g = disjoint_union(path_graph(2), relabel(cycle_graph(7), random.Random(2)), complete_graph(4))
+    assert TwoCore(g).branch_cycle() == [min(range(2, 9))] == [2]
+    assert TwoCore(theta_graph((3, 4, 5))).branch_cycle() == [0, 1, 2, 5]
