@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Iterable, Iterator
 
 from .errors import MalformedInstanceError, PreconditionError
@@ -84,6 +85,10 @@ class TwoCore:
         child.graph, child.dead, child.degree = self.graph, set(self.dead), self.degree.copy()
         child._delete([v])
         return child
+
+    def lowest(self, r: int) -> list[int]:
+        """The ``r`` smallest live vertices, in order (all of them if fewer)."""
+        return list(islice(compress(range(len(self.degree)), self.degree), r))
 
     def short_cycle(self) -> list[int] | None:
         """A short cycle of the core, or None when the core is empty.

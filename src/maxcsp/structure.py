@@ -4,8 +4,9 @@ Neighborhood diversity is exact and polynomial.  Vertex cover and feedback
 vertex set are exact but exponential, so both run under a budget and report
 when the budget is exceeded instead of searching unboundedly.  The twin
 classes and the vertex-cover search read the graph's adjacency bitsets
-(``Graph.masks``); the FVS search keeps a 2-core per node and branches
-once per run of core-degree-2 vertices.
+(``Graph.masks``); the FVS search keeps a 2-core per node, branches
+once per run of core-degree-2 vertices and cuts a node tied with the
+incumbent when no completion of it is lexicographically smaller.
 """
 
 from __future__ import annotations
@@ -163,6 +164,17 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
     reached whenever it fits the budget, and ties between optimal witnesses
     go to the lexicographically smallest vertex set.  Previously explored
     deletion sets are memoized.
+
+    A node whose bound equals the incumbent's size k can only yield an FVS
+    of size k that is lexicographically smaller than the incumbent.  Such an
+    FVS adds r = k − |chosen| vertices, all live in the node's core: a
+    vertex outside the core lies on no cycle of G − chosen, so dropping it
+    would leave an FVS below the bound.  So the node is cut when chosen plus
+    the r smallest live core vertices, sorted, is not below the incumbent's
+    witness, and a branch vertex v is skipped, before its child core is
+    built, when chosen ∪ {v} plus the r − 1 smallest other live vertices is
+    not; the child's core lies in this core less v, and a larger v gives no
+    smaller completion, so the loop stops there.
     """
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
@@ -178,13 +190,24 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
             if best[0] is None or (len(cand), cand) < (best[0], best[1]):
                 best[0], best[1] = len(cand), cand
             return
-        bound = len(chosen) + _cycle_rank_bound(core)
+        need = _cycle_rank_bound(core)
+        bound = len(chosen) + need
         if bound > budget or (best[0] is not None and bound > best[0]):
             return
+        # Tied with the incumbent (see above): a completion adds ``need`` live
+        # core vertices, and the core has that many, as the bound counts them.
+        tied = best[0] == bound
+        if tied:
+            low = core.lowest(need)
+            if tuple(sorted(chosen.union(low))) >= best[1]:
+                return
         for v in core.branch_cycle():
             child = chosen | {v}
-            if child not in seen:
-                rec(child, core.without(v))
+            if child in seen:
+                continue
+            if tied and tuple(sorted(child.union([u for u in low if u != v][: need - 1]))) >= best[1]:
+                break  # a larger v completes no lower
+            rec(child, core.without(v))
 
     rec(frozenset(), root)
     return BudgetedResult(best[0], best[1], budget)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -27,6 +28,20 @@ def naive_max_csp(f: Formula) -> tuple[int, Assignment]:
         if v > best_v:
             best_v, best_a = v, a
     return best_v, best_a
+
+
+@functools.cache
+def _satisfied_column(num_vars: int, c: Constraint) -> tuple[int, ...]:
+    # count_satisfied of c alone under each assignment, in product order
+    alone = Formula(num_vars, (c,))
+    return tuple(count_satisfied(alone, Assignment(bits)) for bits in itertools.product((0, 1), repeat=num_vars))
+
+
+def naive_max_value(f: Formula) -> int:
+    """The optimum of ``naive_max_csp`` by the same enumeration, summing
+    per-constraint columns that are computed once per (variable count,
+    constraint) and shared by every formula that reuses the constraint."""
+    return max(map(sum, zip(*(_satisfied_column(f.num_vars, c) for c in f.constraints))), default=0)
 
 
 def subset_search_residual_max(f: Formula) -> tuple[int, Assignment]:
@@ -722,7 +737,13 @@ def exhaustive_forest_threshold_formulas(max_vars: int = 3, max_cons: int = 3):
                     yield Formula(n, constraints)
 
 
-def extended_forest_grammar():
+@functools.cache
+def extended_forest_grammar() -> tuple[Formula, ...]:
+    """The formulas of ``_extended_forest_grammar``, built once per run."""
+    return tuple(_extended_forest_grammar())
+
+
+def _extended_forest_grammar():
     """Three exhaustive grammar slices, all with forest incidence and n+m <= 8.
 
     Slice one: every threshold formula over <= 3 variables with <= 3

@@ -56,7 +56,6 @@ from maxcsp.cli import main as cli_main
 
 from helpers import (
     exhaustive_forest_threshold_formulas,
-    naive_max_csp,
     planted_satisfiable_cnf,
     random_cnf,
     random_cover_instance,
@@ -124,12 +123,12 @@ def reduction_pool():
 
 
 def test_criterion_01_forest_solver_exactness():
-    from helpers import extended_forest_grammar
+    from helpers import extended_forest_grammar, naive_max_value
 
     exhaustive = 0
     for f in extended_forest_grammar():
         assert f.num_vars + f.num_constraints <= 10
-        assert solve_forest(f).value == naive_max_csp(f)[0]
+        assert solve_forest(f).value == naive_max_value(f)
         exhaustive += 1
     assert exhaustive > 10_000
 

@@ -1,4 +1,5 @@
-"""Property tests of the forest layer and the instance format.
+"""Property tests of the forest layer, the instance format and the model's
+satisfied counts.
 
 The examples are derandomized, so every run draws the same ones.
 """
@@ -11,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from maxcsp import (  # noqa: E402
+    Assignment,
     Constraint,
     Formula,
     Kind,
@@ -21,10 +23,15 @@ from maxcsp import (  # noqa: E402
     max_csp_bruteforce,
     parse_instance,
     serialize_instance,
+    simplify_fix_variable,
     solve_forest,
 )
+from maxcsp.model import satisfied_counter  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# 60 draws of ``formulas()`` miss a PARITY constraint with an odd number of
+# negations, so the counter property draws more
+COUNTER_PROFILE = settings(PROFILE, max_examples=200)
 KINDS = (Kind.OR, Kind.AND, Kind.MAJORITY, Kind.THRESHOLD)
 
 
@@ -129,3 +136,30 @@ def test_fvs_scheme_meets_its_bound(instance, eps):
 @given(formulas())
 def test_serialize_then_parse_is_the_identity(f):
     assert parse_instance(serialize_instance(f)) == f
+
+
+def _assignments(n: int):
+    # every total assignment of n variables, with its int: bit i − 1 is variable i
+    for x in range(1 << n):
+        yield x, Assignment(tuple(x >> i & 1 for i in range(n)))
+
+
+@COUNTER_PROFILE
+@given(formulas())
+def test_satisfied_counter_equals_count_satisfied(f):
+    count = satisfied_counter(f)
+    for x, a in _assignments(f.num_vars):
+        assert count(x) == count_satisfied(f, a), (f, x)
+
+
+@PROFILE
+@given(formulas().filter(lambda f: f.num_vars > 0), st.data())
+def test_fixing_a_variable_splits_off_its_delta(f, data):
+    var = data.draw(st.integers(1, f.num_vars))
+    value = data.draw(st.integers(0, 1))
+    residual, delta = simplify_fix_variable(f, var, value)
+    assert residual.num_vars == f.num_vars
+    assert all(var not in c.variables for c in residual.constraints)
+    for _, a in _assignments(f.num_vars):
+        if a.value(var) == value:
+            assert count_satisfied(f, a) == delta + count_satisfied(residual, a), (f, var, value)

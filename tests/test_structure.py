@@ -270,20 +270,22 @@ def test_witness_is_lex_smallest_when_the_greedy_fvs_is_minimum_but_not_lex_smal
     assert feedback_vertex_set(g, 12).witness == brute_lex_min_fvs(g, 12) == (0, 2)
 
 
-def _count_cycle_searches(monkeypatch) -> list:
+def _count_calls(monkeypatch, method: str = "branch_cycle") -> list:
+    # one entry per call of the TwoCore method; "branch_cycle" counts cycle
+    # searches, "without" the child cores built
     calls = []
-    search = TwoCore.branch_cycle
+    original = getattr(TwoCore, method)
 
-    def counting(core):
+    def counting(core, *args):
         calls.append(1)
-        return search(core)
+        return original(core, *args)
 
-    monkeypatch.setattr(TwoCore, "branch_cycle", counting)
+    monkeypatch.setattr(TwoCore, method, counting)
     return calls
 
 
 def test_gadget_fvs_is_found_with_few_cycle_searches(monkeypatch):
-    calls = _count_cycle_searches(monkeypatch)
+    calls = _count_calls(monkeypatch)
     g = build_incidence_graph(mcc_to_threshold(complete_mcc(2, 3)).formula).graph
     res = feedback_vertex_set(g, 8)
     assert res.witness == (33, 38, 49, 50, 60, 61)
@@ -293,7 +295,7 @@ def test_gadget_fvs_is_found_with_few_cycle_searches(monkeypatch):
 
 
 def test_k3_gadget_fvs_is_searched_in_few_nodes(monkeypatch):
-    calls = _count_cycle_searches(monkeypatch)
+    calls = _count_calls(monkeypatch)
     g = build_incidence_graph(mcc_to_threshold(complete_mcc(3, 3)).formula).graph
     assert feedback_vertex_set(g, 14).exceeded
     # 388 cycle searches branching once per run (1334 TwoCore.without calls;
@@ -302,7 +304,8 @@ def test_k3_gadget_fvs_is_searched_in_few_nodes(monkeypatch):
     calls.clear()
     res = feedback_vertex_set(g, 18)
     assert res.witness == (0, 1, 3, 80, 85, 96, 107, 108, 118, 129, 130, 140, 141, 151, 152)
-    assert len(calls) <= 4000  # 3511
+    # 3249 with the tie cut (10 171 TwoCore.without calls), 3511 without it
+    assert len(calls) <= 3400
 
 
 def test_fvs_at_every_budget_up_to_the_minimum():
@@ -448,3 +451,87 @@ def test_branch_cycle_takes_a_bare_cycle_at_once_and_a_short_one_in_a_dense_core
     g = disjoint_union(path_graph(2), relabel(cycle_graph(7), random.Random(2)), complete_graph(4))
     assert TwoCore(g).branch_cycle() == [min(range(2, 9))] == [2]
     assert TwoCore(theta_graph((3, 4, 5))).branch_cycle() == [0, 1, 2, 5]
+
+
+def _graphs_where(keep, count: int, seed: int):
+    # the first ``count`` seeded random graphs, with their lexicographically
+    # smallest minimum FVS, on which keep(greedy FVS, that FVS) holds
+    rng = random.Random(seed)
+    while count:
+        g = random_graph(rng.randint(5, 11), rng.uniform(0.2, 0.6), rng)
+        lex = brute_lex_min_fvs(g, g.num_vertices)
+        if keep(fvs_bounds(g)[1], lex):
+            count -= 1
+            yield g, lex
+
+
+def _high_index_answers():
+    # a dense core under pendant trees, relabelled so that the core takes the
+    # highest indices: every FVS lies there, and every low vertex is off the core
+    rng = random.Random(79)
+    for _ in range(10):
+        g = with_pendant_trees(random_graph(rng.randint(4, 8), rng.uniform(0.4, 0.9), rng), rng.randint(3, 10), rng)
+        n = g.num_vertices
+        g = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edge_list()])
+        yield g, brute_lex_min_fvs(g, n)
+
+
+def _dense_six_variable_formulas():
+    # incidence graphs of THRESHOLD/MAJORITY formulas on 6 variables, with
+    # constraints of arity 2-4 (as in the benchmark's six-variable family) or 3-6
+    for seed in range(10):
+        arity = (2, 4) if seed % 2 else (3, 6)
+        f = random_formula(6, 8 + seed, {"THRESHOLD": 1, "MAJORITY": 1}, arity, seed)
+        g = build_incidence_graph(f).graph
+        yield g, brute_lex_min_fvs(g, g.num_vertices)
+
+
+TIE_CUT_FAMILIES = {
+    "greedy-minimum-not-lex-smallest": lambda: _graphs_where(lambda gr, lex: len(gr) == len(lex) and gr != lex, 10, 83),
+    "greedy-larger-and-lex-smaller": lambda: _graphs_where(lambda gr, lex: len(gr) > len(lex) and gr < lex, 8, 89),
+    "high-index-answers": _high_index_answers,
+    "dense-six-variable-formulas": _dense_six_variable_formulas,
+}
+
+
+@pytest.mark.parametrize("family", TIE_CUT_FAMILIES)
+def test_fvs_tie_cut_keeps_the_brute_force_witness(family):
+    # The cut drops only tied nodes whose completions cannot beat the
+    # incumbent, so every budget from 0 to the minimum plus one gives the
+    # brute-force answer or exceeded.
+    for g, lex in TIE_CUT_FAMILIES[family]():
+        for budget in range(len(lex) + 2):
+            res = feedback_vertex_set(g, budget)
+            assert res.witness == (lex if budget >= len(lex) else None), (g, budget)
+            assert res.size == (len(lex) if budget >= len(lex) else None)
+
+
+def test_fvs_equals_brute_force_on_random_small_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw) -> Graph:
+        n = draw(st.integers(1, 11))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph(n, draw(st.lists(st.sampled_from(pairs))) if pairs else [])
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @hypothesis.given(graphs())
+    def check(g):
+        lex = brute_lex_min_fvs(g, g.num_vertices)
+        for budget in range(len(lex) + 2):
+            assert feedback_vertex_set(g, budget).witness == (lex if budget >= len(lex) else None)
+
+    check()
+
+
+def test_fvs_tie_cut_builds_few_child_cores(monkeypatch):
+    calls = _count_calls(monkeypatch, "without")
+    g = build_incidence_graph(mcc_to_threshold(complete_mcc(2, 2)).formula).graph
+    assert feedback_vertex_set(g, 12).witness == (0, 1, 3, 20, 26, 27)
+    assert len(calls) == 251  # 605 without the tie cut
+    calls.clear()
+    f = random_formula(6, 16, {"THRESHOLD": 1, "MAJORITY": 1}, (2, 4), 3)
+    assert feedback_vertex_set(build_incidence_graph(f).graph, 12).witness == (0, 1, 2, 3, 4)
+    assert len(calls) == 16  # 111 without the tie cut

@@ -2,11 +2,12 @@
 
 One line per graph:
 
-    <group> <name> <budget> <size> <nodes> <witness>
+    <group> <name> <budget> <size> <nodes> <cycles> <witness>
 
 ``size`` and ``witness`` are ``-`` when the minimum FVS is above the
 budget.  ``nodes`` counts the ``TwoCore.without`` calls that one
-``feedback_vertex_set`` call makes, the greedy incumbent's included.  The
+``feedback_vertex_set`` call makes, the greedy incumbent's included, and
+``cycles`` its ``TwoCore.branch_cycle`` calls (cycle searches).  The
 graphs are the incidence graphs of
 
 - the complete ``mcc-thr`` gadgets for k = 2, n = 2 and 3 (budget 12) and
@@ -16,7 +17,7 @@ graphs are the incidence graphs of
   reads, at the given seed (default 1), at the default budget, in corpus
   order.
 
-A ``total`` line per group sums its nodes.  The script runs the ``src/`` and
+A ``total`` line per group sums its nodes and its cycle searches.  The script runs the ``src/`` and
 ``perfbench/`` of the directory it is started in, so one copy of it serves a
 checkout that lacks it:
 
@@ -24,7 +25,7 @@ checkout that lacks it:
     (cd ../parent && python3 ../change/tools/fvs_nodes.py) > parent.txt
     diff parent.txt change.txt
 
-The sizes and witnesses of two correct checkouts agree; the node counts
+The sizes and witnesses of two correct checkouts agree; the two counts
 show how much the search branches.
 """
 
@@ -70,28 +71,32 @@ def main(argv: list[str] | None = None) -> int:
 
     import corpus as corpus_mod
 
-    nodes = [0]
-    without = TwoCore.without
+    counts = [0, 0]  # TwoCore.without, TwoCore.branch_cycle
+    without, branch_cycle = TwoCore.without, TwoCore.branch_cycle
 
-    def counting(core, v):
-        nodes[0] += 1
+    def counting_without(core, v):
+        counts[0] += 1
         return without(core, v)
 
-    TwoCore.without = counting
+    def counting_branch_cycle(core):
+        counts[1] += 1
+        return branch_cycle(core)
+
+    TwoCore.without, TwoCore.branch_cycle = counting_without, counting_branch_cycle
     groups = [("gadget", [(f"mcc-thr-k{k}-n{n}", mcc_to_threshold(complete_mcc(k, n)).formula, b) for k, n, b in GADGETS])]
     for workload in ("structured-solve", "exact-residual"):
         formulas = corpus_formulas(corpus_mod, workload, args.seed)
         groups.append((workload, [(name, f, DEFAULT_FVS_BUDGET) for name, f in formulas]))
     for group, graphs in groups:
-        total = 0
+        total = [0, 0]
         for name, formula, budget in graphs:
-            nodes[0] = 0
+            counts[:] = [0, 0]
             res = feedback_vertex_set(build_incidence_graph(formula).graph, budget)
-            total += nodes[0]
+            total = [t + c for t, c in zip(total, counts)]
             size = "-" if res.exceeded else str(res.size)
             witness = "-" if res.exceeded else ",".join(map(str, res.witness))
-            print(f"{group} {name} {budget} {size} {nodes[0]} {witness}", flush=True)
-        print(f"total {group} {total}", flush=True)
+            print(f"{group} {name} {budget} {size} {counts[0]} {counts[1]} {witness}", flush=True)
+        print(f"total {group} {total[0]} {total[1]}", flush=True)
     return 0
 
 
