@@ -381,7 +381,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     missing = [a for a in algs if a in EPSILON_ALGS and not epsilons]
     if files and missing:
         raise PreconditionError(f"{missing[0]} requires --epsilons")
-    runs = [(alg, eps) for alg in algs for eps in (epsilons if alg in EPSILON_ALGS else [None])]
+    # a repeated algorithm, or epsilon once normalized, names its rows once
+    runs = list(dict.fromkeys(
+        (alg, eps) for alg in algs for eps in (epsilons if alg in EPSILON_ALGS else [None])
+    ))
     tasks = [(os.path.join(args.dir, name), name, runs, options) for name in files]
     # Serial first: the pool starts only once the tasks run so far have
     # taken longer than starting it costs, and never for a single task left.

@@ -78,7 +78,7 @@ def peel_forest(f: Formula | Forest, values: Sequence[int] = ()) -> PeelOutcome:
     threshold by one, down to 0, as ``simplify_fix_variable`` does."""
     forest = f if isinstance(f, Forest) else _compile(f)
     inc, signs, thresholds = forest.inc, forest.signs, list(forest.thresholds)
-    n, m, adj = inc.num_vars, inc.num_constraints, inc.graph.sorted_adj
+    n, m, adj = inc.num_vars, inc.num_constraints, inc.graph.adj
     # live literals per constraint; live constraints per variable vertex,
     # stale once the variable is peeled
     live = [len(s) for s in signs]

@@ -11,9 +11,13 @@ from .model import Formula
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..num_vertices-1."""
+    """Immutable simple undirected graph on vertices 0..num_vertices-1.
 
-    __slots__ = ("num_vertices", "adj", "sorted_adj", "_masks")
+    ``adj[v]`` lists the neighbours of v once each, in increasing order;
+    repeated edges and both orientations of an edge collapse to one.
+    """
+
+    __slots__ = ("num_vertices", "adj", "_masks")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
         if num_vertices < 0:
@@ -27,10 +31,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.num_vertices = num_vertices
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self.sorted_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self._masks: tuple[int, ...] | None = None
 
     @property
@@ -45,7 +46,7 @@ class Graph:
         return len(self.adj[v])
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted((u, v) for u in range(self.num_vertices) for v in self.adj[u] if u < v)
+        return [(u, v) for u in range(self.num_vertices) for v in self.adj[u] if u < v]
 
     @property
     def num_edges(self) -> int:
@@ -64,7 +65,8 @@ class TwoCore:
     for every live v, and 0 for every dead v, so the live vertices are those
     of non-zero degree (each at least two).  The core is empty exactly when
     G − removed is a forest, and every cycle of G − removed lies inside the
-    core.
+    core.  ``branch_cycle`` is the FVS search's cycle search on the core;
+    ``find_cycle`` walks the core for any cycle.
     """
 
     __slots__ = ("graph", "dead", "degree")
@@ -72,7 +74,11 @@ class TwoCore:
     def __init__(self, g: Graph, removed: Iterable[int] = frozenset()):
         self.graph = g
         self.dead = dead = set(removed)
-        self.degree = [0 if v in dead else len(a - dead) for v, a in enumerate(g.adj)]
+        # most vertices have no removed neighbour, and isdisjoint builds no set
+        self.degree = [
+            0 if v in dead else len(a) if dead.isdisjoint(a) else len(a) - len(dead.intersection(a))
+            for v, a in enumerate(g.adj)
+        ]
         self._delete([v for v, d in enumerate(self.degree) if d <= 1 and v not in dead])
 
     @property
@@ -89,46 +95,6 @@ class TwoCore:
     def lowest(self, r: int) -> list[int]:
         """The ``r`` smallest live vertices, in order (all of them if fewer)."""
         return list(islice(compress(range(len(self.degree)), self.degree), r))
-
-    def short_cycle(self) -> list[int] | None:
-        """A short cycle of the core, or None when the core is empty.
-
-        Runs a BFS from each core vertex, over the core only, and keeps the
-        shortest cycle closed by a non-tree edge; scanning stops once a
-        cycle of length four is in hand (short enough for branching).
-        Deterministic for a fixed graph and core.
-        """
-        g, dead = self.graph, self.dead
-        best: list[int] | None = None
-        for root in range(g.num_vertices):
-            if root in dead:
-                continue
-            depth = {root: 0}
-            parent: dict[int, int | None] = {root: None}
-            frontier = [root]
-            found: list[int] | None = None
-            while frontier and found is None:
-                nxt = []
-                for u in frontier:
-                    for w in g.sorted_adj[u]:
-                        if w in dead:
-                            continue
-                        if w not in depth:
-                            depth[w] = depth[u] + 1
-                            parent[w] = u
-                            nxt.append(w)
-                        elif parent[u] != w and parent.get(w) != u:
-                            found = _close_cycle(u, w, parent)
-                            if found is not None:
-                                break
-                    if found is not None:
-                        break
-                frontier = nxt
-            if found is not None and (best is None or len(found) < len(best)):
-                best = found
-                if len(best) <= 4:
-                    return best
-        return best
 
     def branch_cycle(self) -> list[int] | None:
         """The branch set of a cycle of the core with few branch options, or
@@ -147,7 +113,7 @@ class TwoCore:
         for a fixed graph and core.
         """
         g, degree = self.graph, self.degree
-        adj, sorted_adj = g.adj, g.sorted_adj
+        adj = g.adj
         walked: set[int] = set()
         best: list[int] | None = None
         for root in range(g.num_vertices):
@@ -188,7 +154,7 @@ class TwoCore:
                                 break
                             prev, cur = cur, w
                     else:
-                        for w in sorted_adj[u]:
+                        for w in adj[u]:
                             if not degree[w]:
                                 continue
                             if w not in parent:
@@ -252,7 +218,7 @@ def bfs_tree(
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.sorted_adj[u]:
+            for w in g.adj[u]:
                 if w in removed or w in depth:
                     continue
                 depth[w] = depth[u] + 1
@@ -268,23 +234,39 @@ def is_acyclic(g: Graph, removed: Iterable[int] = frozenset()) -> bool:
 
 
 def find_cycle(g: Graph, removed: Iterable[int] = frozenset()) -> list[int] | None:
-    """Return the vertex list of a short cycle, or None if the graph is a forest.
+    """Return the vertex list of a cycle of G − removed, or None exactly
+    when G − removed is a forest.
 
     Peels G − removed to its 2-core first, so a forest costs one linear
-    pass, then runs ``TwoCore.short_cycle`` on the core.
+    pass.  Then walks from the smallest live vertex, each step to the
+    smallest live neighbour other than the one it came from, until it
+    reaches a vertex it has walked through; the cycle runs from there, in
+    walk order.  Every core vertex has two live neighbours, so the walk
+    never stops short of closing a cycle.
     """
-    return TwoCore(g, removed).short_cycle()
+    core = TwoCore(g, removed)
+    live = core.lowest(1)
+    if not live:
+        return None
+    adj, degree = g.adj, core.degree
+    prev, cur = -1, live[0]
+    at = {cur: 0}  # the walked vertices in walk order, to their positions
+    while True:
+        w = next(x for x in adj[cur] if x != prev and degree[x])
+        if w in at:
+            return list(at)[at[w]:]
+        at[w] = len(at)
+        prev, cur = cur, w
 
 
-def _close_cycle(u: int, w: int, parent: dict[int, int | None]) -> list[int] | None:
+def _close_cycle(u: int, w: int, parent: dict[int, int | None]) -> list[int]:
+    # u and w hang in one BFS tree, so their root paths meet; the edge uw is
+    # not a tree edge, and in a simple graph the cycle has at least 3 vertices
     path_u = _path_to_root(u, parent)
     path_w = _path_to_root(w, parent)
     set_w = {v: i for i, v in enumerate(path_w)}
-    for i, v in enumerate(path_u):
-        if v in set_w:
-            cycle = path_u[: i + 1] + path_w[: set_w[v]][::-1]
-            return cycle if len(cycle) >= 3 else None
-    return None
+    i, v = next((i, v) for i, v in enumerate(path_u) if v in set_w)
+    return path_u[: i + 1] + path_w[: set_w[v]][::-1]
 
 
 def _path_to_root(v: int, parent: dict[int, int | None]) -> list[int]:

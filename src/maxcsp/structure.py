@@ -78,7 +78,7 @@ def neighborhood_diversity(g: Graph) -> NdPartition:
         cls.append(u)
         by_open[nbrs] = by_closed[closed] = cls
     kinds = tuple(
-        "clique" if len(cls) > 1 and cls[1] in g.adj[cls[0]] else "independent" for cls in classes
+        "clique" if len(cls) > 1 and g.masks[cls[0]] >> cls[1] & 1 else "independent" for cls in classes
     )
     return NdPartition(tuple(map(tuple, classes)), kinds)
 

@@ -175,7 +175,7 @@ def minimum_partition_size(g: Graph) -> int:
         for cls in part:
             cls_set = set(cls)
             for v in range(g.num_vertices):
-                inside = g.adj[v] & cls_set
+                inside = set(g.adj[v]) & cls_set
                 expected = cls_set - {v}
                 if inside and inside != expected:
                     ok = False
@@ -220,7 +220,7 @@ def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     for v in range(g.num_vertices):
         for cls in classes:
             u = cls[0]
-            if g.adj[u] - {v} == g.adj[v] - {u}:
+            if set(g.adj[u]) - {v} == set(g.adj[v]) - {u}:
                 cls.append(v)
                 break
         else:
@@ -256,10 +256,10 @@ def reference_fvs(g: Graph, budget: int) -> tuple[int, ...] | None:
     """The lexicographically smallest minimum FVS within ``budget``, or None.
 
     The branch-and-bound search without the degree-2 bypass: it branches on
-    every vertex of ``TwoCore.short_cycle``, under the same memo, cycle-rank
-    bound and greedy incumbent as ``feedback_vertex_set``.
+    every vertex of ``find_cycle(g, chosen)``, under the same memo,
+    cycle-rank bound and greedy incumbent as ``feedback_vertex_set``.
     """
-    from maxcsp.graphs import TwoCore
+    from maxcsp.graphs import TwoCore, find_cycle
     from maxcsp.structure import _cycle_rank_bound, _greedy_fvs
 
     root = TwoCore(g)
@@ -277,7 +277,7 @@ def reference_fvs(g: Graph, budget: int) -> tuple[int, ...] | None:
         bound = len(chosen) + _cycle_rank_bound(core)
         if bound > budget or (best[0] is not None and bound > len(best[0])):
             return
-        for v in sorted(core.short_cycle()):
+        for v in sorted(find_cycle(g, chosen)):
             child = chosen | {v}
             if child not in seen:
                 rec(child, core.without(v))

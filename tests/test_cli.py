@@ -885,6 +885,28 @@ def test_compare_empty_dir(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "repeated, once",
+    [
+        (["--algs", "oracle,tree,oracle"], ["--algs", "oracle,tree"]),
+        (["--algs", "cw-as", "--epsilons", "1/4,0.25,1/2"], ["--algs", "cw-as", "--epsilons", "1/4,1/2"]),
+    ],
+)
+def test_compare_writes_a_repeated_algorithm_or_epsilon_once(tmp_path, capsys, repeated, once):
+    # one row per instance, algorithm and epsilon, in the order first named
+    sub = tmp_path / "in"
+    sub.mkdir()
+    write(sub, "a.mcsp", FOREST)
+    write(sub, "b.mcsp", serialize_instance(Formula(2, (or_clause(1, 2), or_clause(-1), or_clause(-2)))))
+    rows = []
+    for argv in (repeated, once):
+        out = tmp_path / "out.csv"
+        assert main(["compare", *argv, "--dir", str(sub), "--seed", "3", "-o", str(out)]) == 0
+        rows.append([line.split(",")[:3] for line in out.read_text().splitlines()])
+    assert rows[0] == rows[1]
+    assert len(rows[0]) == len({tuple(r) for r in rows[0]}) == 1 + 2 * 2
+
+
 def test_importing_the_cli_loads_no_multiprocessing():
     # solve, analyze and generate import the CLI module alone; compare imports
     # the process pool when it starts one

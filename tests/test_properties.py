@@ -1,5 +1,5 @@
-"""Property tests of the forest layer, the instance format and the model's
-satisfied counts.
+"""Property tests of the forest and cover layers, the instance format and
+the model's satisfied counts.
 
 The examples are derandomized, so every run draws the same ones.
 """
@@ -19,12 +19,15 @@ from maxcsp import (  # noqa: E402
     Literal,
     VertexSplit,
     approx_via_fvs,
+    build_incidence_graph,
     count_satisfied,
     max_csp_bruteforce,
     parse_instance,
     serialize_instance,
     simplify_fix_variable,
     solve_forest,
+    solve_via_vertex_cover,
+    vertex_cover_number,
 )
 from maxcsp.model import satisfied_counter  # noqa: E402
 
@@ -104,6 +107,27 @@ def fvs_instances(draw) -> tuple[Formula, VertexSplit]:
 
 
 @st.composite
+def cover_instances(draw) -> tuple[Formula, VertexSplit]:
+    """A PARITY-free formula with a planted incidence vertex cover: a few
+    cover variables, at most two covered constraints over any variables, and
+    every other constraint over cover variables only, in shuffled order."""
+    n = draw(st.integers(1, 8))
+    cover_vars = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+    covered = [
+        draw(constraints(draw(st.lists(st.integers(1, n), max_size=4, unique=True))))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    outside = [
+        draw(constraints(draw(st.lists(st.sampled_from(cover_vars), max_size=len(cover_vars), unique=True))))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    order = draw(st.permutations(range(len(covered) + len(outside))))
+    cons = [(covered + outside)[i] for i in order]
+    positions = frozenset(j for j, i in enumerate(order) if i < len(covered))
+    return Formula(n, tuple(cons)), VertexSplit(frozenset(cover_vars), positions)
+
+
+@st.composite
 def formulas(draw) -> Formula:
     """Any formula of every kind, empty literal lists included."""
     n = draw(st.integers(0, 6))
@@ -130,6 +154,20 @@ def test_fvs_scheme_meets_its_bound(instance, eps):
     res = approx_via_fvs(f, fvs, eps)
     assert Fraction(res.value) >= (1 - eps) * max_csp_bruteforce(f).value
     assert count_satisfied(f, res.witness) == res.value
+
+
+@PROFILE
+@given(cover_instances())
+def test_cover_solver_equals_the_oracle(instance):
+    # with the planted cover and with the minimum cover the search finds
+    f, planted = instance
+    inc = build_incidence_graph(f)
+    found = inc.split(vertex_cover_number(inc.graph).witness)
+    opt = max_csp_bruteforce(f).value
+    for cover in (planted, found):
+        res = solve_via_vertex_cover(f, cover)
+        assert res.value == opt, (f, cover)
+        assert count_satisfied(f, res.witness) == res.value
 
 
 @PROFILE

@@ -234,10 +234,29 @@ def test_find_cycle_is_none_exactly_on_forests():
                 assert b in g.adj[a]
 
 
-def test_find_cycle_prefers_short_cycles():
+def test_find_cycle_walks_from_the_smallest_live_vertex():
     # the 9-cycle comes first in vertex order; pendant trees hang off both
     g = with_pendant_trees(disjoint_union(cycle_graph(9), cycle_graph(4)), 20, random.Random(5))
-    assert len(find_cycle(g)) == 4
+    assert find_cycle(g) == list(range(9))
+
+
+def test_adjacency_is_one_increasing_symmetric_list_per_vertex():
+    rng = random.Random(79)
+    graphs = list(_fvs_families()) + list(_chain_families())
+    graphs += [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(60)]
+    for g in graphs:
+        edges = g.edge_list()
+        assert edges == sorted(set(edges)) and all(u < v for u, v in edges), g
+        assert g.num_edges == len(edges)
+        for v, nbrs in enumerate(g.adj):
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:])), (g, v)
+            assert all(v in g.adj[w] for w in nbrs), (g, v)
+            assert g.masks[v] == sum(1 << w for w in nbrs), (g, v)
+        # repeated edges in both orientations collapse to one
+        doubled = edges + [(v, u) for u, v in edges] + edges[::-1]
+        rng.shuffle(doubled)
+        again = Graph(g.num_vertices, doubled)
+        assert again.adj == g.adj and again.edge_list() == edges
 
 
 def test_fvs_lower_bound_is_at_most_the_minimum():
