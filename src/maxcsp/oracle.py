@@ -24,6 +24,11 @@ DEFAULT_VAR_LIMIT = 26
 _CHUNK_BITS = 16
 _BLOCK_BYTES = 1 << 19
 _MIN_BLOCK_BITS = 8
+# A width group costs about 5 us of numpy calls per block (its comparisons,
+# its sum and the tiled add into the next wider group's), the time of about
+# 2^15 to 2^16 comparisons and sums at about 0.1 ns each (numpy 2.4, one
+# x86-64 core); a group merges into the next wider one below 2^15 saved cells.
+_MERGE_CELLS = 1 << 15
 _MAX_KERNEL_VARS = 255
 
 
@@ -43,7 +48,11 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
     The witness is the lexicographically first maximizer over the tuple
     (x1, ..., xn).  Enumeration is vectorized in fixed-size chunks; variable
     x1 maps to the most significant index bit so that ascending chunk order
-    is lexicographic order.  At most 255 variables, whatever ``var_limit``.
+    is lexicographic order.  Each chunk is scored by ``_SatisfiedCounts``,
+    which compares a constraint only over the low index bits it reads, in
+    width groups merged while that saves fewer than ``_MERGE_CELLS``
+    comparisons a block, with tables within ``_BLOCK_BYTES``.  At most 255
+    variables, whatever ``var_limit``.
     """
     n = f.num_vars
     # A constraint's variables are distinct, so its threshold is at most n;
@@ -110,23 +119,33 @@ class _LinearForm:
         row per variable in ``variables`` order."""
         return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
 
-    def held(self, counts: np.ndarray, need: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Which rows hold at each column, in the boolean ``out`` of
-        ``counts``' shape: count at least need in the first ``num_geq`` rows,
-        count equal to need in the PARITY rows, whose counts and needs the
-        caller has taken mod 2."""
-        k = self.num_geq
-        np.greater_equal(counts[:k], need[:k], out=out[:k])
-        np.equal(counts[k:], need[k:], out=out[k:])
-        return out
-
     def score(self, x: np.ndarray) -> np.ndarray:
         """Satisfied count at each column of ``x``, laid out as in
-        ``true_counts``."""
+        ``true_counts``: a row holds when its count is at least its target
+        in the first ``num_geq`` rows, and when its count mod 2 equals its
+        target in the PARITY rows."""
         counts = self.true_counts(x)
-        counts[self.num_geq:] &= 1
-        held = self.held(counts, self.target, np.empty(counts.shape, dtype=bool))
+        k = self.num_geq
+        counts[k:] &= 1
+        held = np.empty(counts.shape, dtype=bool)
+        np.greater_equal(counts[:k], self.target[:k], out=held[:k])
+        np.equal(counts[k:], self.target[k:], out=held[k:])
         return np.add.reduce(held, axis=0, dtype=np.int64) + self.always
+
+
+def _group_widths(rows_per_width: list[int]) -> list[int]:
+    """The width each width's rows are compared over: from the widest down,
+    a width's rows join the next wider group when that costs fewer than
+    ``_MERGE_CELLS`` more comparisons per block."""
+    group = list(range(len(rows_per_width)))
+    wider = None
+    for w in reversed(group):
+        rows = rows_per_width[w]
+        if rows and wider is not None and rows * ((1 << wider) - (1 << w)) < _MERGE_CELLS:
+            group[w] = wider
+        elif rows:
+            wider = w
+    return group
 
 
 class _SatisfiedCounts:
@@ -136,17 +155,23 @@ class _SatisfiedCounts:
     ``variables[p]`` is index bit n - 1 - p: the first variable is the most
     significant bit, so ascending index order is ``itertools.product`` order.
     Indices run in ``num_chunks`` chunks of 2^``chunk_bits``, and each chunk
-    in blocks of 2^b.  Index bits below b repeat in every block: a ``uint8``
-    matrix built once holds each row's true literals on them (mod 2 for
-    PARITY) at every position of a block, and b is the largest that keeps
-    it within ``_BLOCK_BYTES``, but at least ``_MIN_BLOCK_BITS``: shorter
-    blocks cost more in per-block overhead than they save, so past
-    ``_BLOCK_BYTES`` >> ``_MIN_BLOCK_BITS`` rows the matrix grows with the
-    rows instead.  Bits from b up are constant within a block,
-    so they only lower each row's need; one comparison per kind of row and
-    one sum score a whole block.  The needs are built for a slice of blocks
-    at a time, as many as keep that work within ``_BLOCK_BYTES`` too.  They
-    are held in ``uint8``, so n must be at most 255.
+    in blocks of 2^b.  Bits from b up are constant within a block, so they
+    only lower each row's need; the needs are built for a slice of blocks at
+    a time, as many as keep that work within ``_BLOCK_BYTES``.
+
+    Bits below b repeat in every block.  A row's width w is the highest of
+    them that it reads plus one, or 0 when it reads none: its true literals
+    on them (mod 2 for PARITY) repeat every 2^w positions, so it is compared
+    only over a block's first 2^w.  Rows of one width form a group, and a
+    group merges into the next wider one when that costs fewer than
+    ``_MERGE_CELLS`` more comparisons.  A ``uint8`` table built once holds
+    each group's true literals at its 2^w positions.  Per block, one
+    comparison per kind of row and one sum score a group; each group's sums
+    are added, tiled, to the next wider group's, and the widest group's are
+    tiled over the block.  b is the largest that keeps the groups' tables
+    within ``_BLOCK_BYTES``, but at least ``_MIN_BLOCK_BITS``: shorter blocks
+    cost more in per-block overhead than they save.  Needs are held in
+    ``uint8``, so n must be at most 255.
     """
 
     def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
@@ -155,27 +180,64 @@ class _SatisfiedCounts:
         self.num_chunks = 1 << (n - self.chunk_bits)
         form = self._form = _LinearForm(constraints, variables)
         rows = len(form.target)
-        budget_bits = (_BLOCK_BYTES // max(rows, 1)).bit_length() - 1
-        self._block_bits = b = min(self.chunk_bits, max(_MIN_BLOCK_BITS, budget_bits))
+        bit = n - 1 - form.cols  # each literal's index bit
+        # b is the largest whose width groups' tables fit _BLOCK_BYTES, but
+        # at least _MIN_BLOCK_BITS
+        b = self.chunk_bits
+        while True:
+            low_bit = bit < b
+            width = np.maximum.reduceat((bit + 1) * low_bit, form.starts)
+            rows_per_width = np.bincount(width, minlength=b + 1).tolist()
+            group = _group_widths(rows_per_width)
+            cells = sum(r << g for r, g in zip(rows_per_width, group))
+            if b <= _MIN_BLOCK_BITS or cells <= _BLOCK_BYTES:
+                break
+            b -= 1
+        width = np.array(group)[width]  # each row's group width
+        group_rows = np.bincount(width, minlength=b + 1).tolist()
+        group_geq = np.bincount(width[:form.num_geq], minlength=b + 1).tolist()
+        self._block_bits = b
         self._shift = np.arange(n - 1, -1, -1)[:, None]
-        # true_at[v, r, p] is 1 when row r has a literal on variables[p] that
-        # holds when that variable is v
-        true_at = np.zeros((2, rows, n), dtype=np.uint8)
-        true_at[1 - form.neg[:, 0], np.repeat(np.arange(rows), form.arity), form.cols] = 1
-        low = np.zeros((rows, 1 << b), dtype=np.uint8)
-        for k in range(b):
-            # index bit k doubles the positions counted so far
-            size, p = 1 << k, n - 1 - k
-            np.add(low[:, :size], true_at[1, :, p:p + 1], out=low[:, size:2 * size])
-            low[:, :size] += true_at[0, :, p:p + 1]
-        # each row's true literals on the low bits when they are all 0
-        self._low_at_0 = low[:, :1].astype(np.int32)
-        low[form.num_geq:] &= 1
-        self._low_counts = low
-        self._held = np.empty(low.shape, dtype=bool)
+        # rows by width; _LinearForm puts the "at least" rows first, and the
+        # stable sort keeps them first within a width
+        self._order = order = np.argsort(width, kind="stable")
+        self._parity = (order >= form.num_geq)[:, None]
+        # each row's true literals on the low bits when they are all 0: the
+        # tables count them, and so do a block's true literals at its first
+        # index, so each need adds them back
+        low_at_0 = np.add.reduceat(form.neg[:, 0] & low_bit, form.starts, dtype=np.int32)[order]
+        self._target = form.target[order] + low_at_0[:, None]
+        # step[r, p] is what row r's true literals gain when variables[p]
+        # turns from 0 to 1: 1 for a positive literal, -1 (255) for a negated
+        # one
+        step = np.zeros((rows, n), dtype=np.uint8)
+        step[np.repeat(np.arange(rows), form.arity), form.cols] = np.where(form.neg[:, 0], 255, 1)
+        step = step[order]
+        # Rows in width order take 2^w positions each of the flat arrays low
+        # and _held, so a group's are one matrix in each.  _groups: (first
+        # row, first PARITY row, end row, true literals, held values).
+        low = np.empty(cells, dtype=np.uint8)
+        self._held = np.empty(cells, dtype=bool)
+        self._groups = []
+        e = end = 0
+        for w, group_size in enumerate(group_rows):
+            if not group_size:
+                continue
+            s, e = e, e + group_size
+            k = s + group_geq[w]
+            at = slice(end, end + (group_size << w))
+            end = at.stop
+            table = low[at].reshape(group_size, 1 << w)
+            table[:, 0] = low_at_0[s:e]
+            for j in range(w):
+                # index bit j doubles the positions counted so far
+                size, p = 1 << j, n - 1 - j
+                np.add(table[:, :size], step[s:e, p:p + 1], out=table[:, size:2 * size])
+            if e > k:
+                table[k - s:] &= 1
+            self._groups.append((s, k, e, table, self._held[at].reshape(group_size, 1 << w)))
         # a block's satisfied counts fit uint8 up to 255 rows
         self._sum_type = np.uint8 if rows <= 255 else np.int32
-        self._parity = np.arange(rows)[:, None] >= form.num_geq
         # blocks per slice: a block's needs take about 9 bytes per variable
         # (its first assignment) and 24 per literal (the gather, its XOR and
         # the int32 arithmetic of the rows)
@@ -187,32 +249,63 @@ class _SatisfiedCounts:
         return num_vars <= _CHUNK_BITS
 
     def _needs(self, blocks: np.ndarray) -> np.ndarray:
-        """Each row's need in each of ``blocks`` (columns): its target less
-        its true literals on the block's bits from b up, at least 0, or mod 2
-        for a PARITY row."""
+        """Each row's need in each of ``blocks`` (columns), rows in width
+        order: its target less its true literals on the block's bits from b
+        up, at least 0, or mod 2 for a PARITY row."""
         form = self._form
         # the assignment at each block's first index, one column per block
         x = (((blocks << self._block_bits) >> self._shift) & 1).astype(np.uint8)
-        need = form.target - form.true_counts(x) + self._low_at_0
+        need = self._target - form.true_counts(x)[self._order]
         return np.where(self._parity, need & 1, np.maximum(need, 0)).astype(np.uint8)
 
     def _held_blocks(self, high: int):
-        """The blocks of chunk ``high``, their needs built a slice of blocks
-        at a time: (first position in the chunk, which rows hold at each
-        position of the block, in one scratch array that the next overwrites)."""
+        """The first position in chunk ``high`` of each of its blocks, with
+        which rows hold at each position of the block in ``_held``, which the
+        next block overwrites.  The needs are built a slice of blocks at a
+        time."""
         per_chunk = 1 << (self.chunk_bits - self._block_bits)
         for lo in range(0, per_chunk, self._slice):
             need = self._needs(np.arange(lo, min(lo + self._slice, per_chunk)) + high * per_chunk)
             for i in range(need.shape[1]):
-                held = self._form.held(self._low_counts, need[:, i:i + 1], self._held)
-                yield (lo + i) << self._block_bits, held
+                for s, k, e, table, held in self._groups:
+                    if k > s:
+                        np.greater_equal(table[:k - s], need[s:k, i:i + 1], out=held[:k - s])
+                    if e > k:
+                        np.equal(table[k - s:], need[k:e, i:i + 1], out=held[k - s:])
+                yield (lo + i) << self._block_bits
+
+    def _held_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offset, last) by row, in width order, as columns: row r's held
+        value at position i of a block is ``_held[offset[r] + (i & last[r])]``."""
+        group_span = np.array([table.shape[1] for *_, table, _ in self._groups], dtype=np.intp)
+        span = np.repeat(group_span, [e - s for s, _, e, *_ in self._groups])[:, None]
+        return np.cumsum(span, axis=0) - span, span - 1
+
+    def _block_counts(self, out: np.ndarray) -> None:
+        """The satisfied varying rows at each position of the block last
+        yielded by ``_held_blocks``, written to ``out``."""
+        sums = None
+        for _, _, _, _, held in self._groups:
+            wider = np.add.reduce(held, axis=0, dtype=self._sum_type)
+            if sums is not None:
+                tiled = wider.reshape(-1, len(sums))
+                tiled += sums
+            sums = wider
+        if sums is None:
+            out[:] = 0
+            return
+        size = len(sums)
+        out[:size] = sums
+        while size < len(out):
+            out[size:2 * size] = out[:size]
+            size *= 2
 
     def counts(self, high: int) -> np.ndarray:
         """Satisfied count of each assignment of chunk ``high``, in a new array."""
         size = 1 << self._block_bits
         counts = np.empty(1 << self.chunk_bits, dtype=np.int32)
-        for start, held in self._held_blocks(high):
-            counts[start:start + size] = np.add.reduce(held, axis=0, dtype=self._sum_type)
+        for start in self._held_blocks(high):
+            self._block_counts(counts[start:start + size])
         counts += self._form.always
         return counts
 
@@ -231,17 +324,22 @@ class _SatisfiedCounts:
             raise AssertionError(f"{len(self._shift)} variables span {self.num_chunks} oracle chunks")
         form = self._form
         varying = sorted(form.row_of)
-        order = np.array([form.row_of[j] for j in varying], dtype=np.intp)
+        # the varying constraints' held values, constraint 0 first, are at
+        # offset + (i & last) of _held
+        rows = np.argsort(self._order)[np.array([form.row_of[j] for j in varying], dtype=np.intp)]
+        offset, last = (a[rows] for a in self._held_index())
+        satisfied = np.empty(1 << self._block_bits, dtype=np.int32)
         best = (-1, b"")
-        for _, held in self._held_blocks(0):
-            satisfied = np.add.reduce(held, axis=0, dtype=self._sum_type)
+        for _ in self._held_blocks(0):
+            self._block_counts(satisfied)
             cols = np.flatnonzero(satisfied == satisfied.max())
-            for lo in range(0, len(order), 8):
+            for lo in range(0, len(rows), 8):
                 if len(cols) < 2:
                     break
-                byte = np.packbits(held[order[lo:lo + 8]][:, cols], axis=0)[0]
+                byte = np.packbits(self._held[offset[lo:lo + 8] + (cols & last[lo:lo + 8])], axis=0)[0]
                 cols = cols[byte == byte.max()]
-            best = max(best, (int(satisfied[cols[0]]), np.packbits(held[order, cols[0]]).tobytes()))
+            membership = self._held[offset[:, 0] + (cols[0] & last[:, 0])]
+            best = max(best, (int(satisfied[cols[0]]), np.packbits(membership).tobytes()))
         held = form.const | dict(zip(varying, np.unpackbits(np.frombuffer(best[1], np.uint8)).tolist()))
         return sorted(j for j, h in held.items() if h)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MalformedInstanceError
+from .errors import ContractViolationError, MalformedInstanceError
 from .graphs import Graph, TwoCore, is_acyclic
 
 DEFAULT_VC_BUDGET = 16
@@ -83,13 +83,22 @@ def neighborhood_diversity(g: Graph) -> NdPartition:
     return NdPartition(tuple(map(tuple, classes)), kinds)
 
 
+def _graph_vertices(g: Graph, vertices) -> frozenset[int]:
+    """``vertices`` as a set, once each is one of g's 0..|V| - 1."""
+    vs = list(vertices)
+    outside = next((v for v in vs if not 0 <= v < g.num_vertices), None)
+    if outside is not None:
+        raise ContractViolationError(f"vertex {outside} is not in a graph on {g.num_vertices} vertices")
+    return frozenset(vs)
+
+
 def is_vertex_cover(g: Graph, vertices) -> bool:
-    vs = set(vertices)
+    vs = _graph_vertices(g, vertices)
     return all(u in vs or v in vs for u, v in g.edge_list())
 
 
 def is_feedback_vertex_set(g: Graph, vertices) -> bool:
-    return is_acyclic(g, frozenset(vertices))
+    return is_acyclic(g, _graph_vertices(g, vertices))
 
 
 def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedResult:

@@ -251,13 +251,16 @@ def test_random_formula_rejects_negative_counts(num_vars, num_constraints):
         random_formula(num_vars, num_constraints, {"OR": 1}, (0, 0), seed=0)
 
 
-def every_kind_formula(rng, n, m):
+def every_kind_formula(rng, n, m, spread=False):
     """Random constraints of every kind, arity 0..min(4, n), thresholds
-    0..arity+1 and both parity right-hand sides."""
+    0..arity+1 and both parity right-hand sides.  With ``spread`` each
+    constraint draws its variables from the last 1..n variables only, so
+    its highest index bit, and its width in the kernel, varies."""
     constraints = []
     for _ in range(m):
         kind = rng.choice(list(Kind))
-        variables = rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))
+        pool = range(rng.randint(1, n) if spread else 1, n + 1)
+        variables = rng.sample(pool, rng.randint(0, min(4, len(pool))))
         lits = tuple(Literal(v, bool(rng.getrandbits(1))) for v in variables)
         if kind is Kind.PARITY:
             constraints.append(Constraint(kind, lits, parity_rhs=rng.getrandbits(1)))
@@ -274,10 +277,18 @@ def every_kind_formula(rng, n, m):
 KERNEL_LAYOUTS = [(16, 1 << 19), (16, 64), (3, 1 << 19), (4, 1)]
 
 
-def set_kernel_layout(monkeypatch, chunk_bits, block_bytes):
+def set_kernel_layout(monkeypatch, chunk_bits, block_bytes, merge_cells=None):
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
     monkeypatch.setattr(oracle, "_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(oracle, "_MIN_BLOCK_BITS", 0)
+    if merge_cells is not None:
+        monkeypatch.setattr(oracle, "_MERGE_CELLS", merge_cells)
+
+
+def group_layout(kernel):
+    """(width, "at least" rows, PARITY rows) of each width group of a
+    kernel, narrowest first."""
+    return [(table.shape[1].bit_length() - 1, k - s, e - k) for s, k, e, table, _ in kernel._groups]
 
 
 def assert_kernel_matches_scalar(f, variables):
@@ -288,8 +299,11 @@ def assert_kernel_matches_scalar(f, variables):
     sets = []
     for high in range(kernel.num_chunks):
         counts = kernel.counts(high)
-        # every row's held value at every assignment of the chunk, block by block
-        held = np.concatenate([block.copy() for _, block in kernel._held_blocks(high)], axis=1)
+        # every row's held value at every assignment of the chunk, block by
+        # block, read through the width groups (rows in _LinearForm order)
+        offset, last = (a[np.argsort(kernel._order)] for a in kernel._held_index())
+        block = np.arange(1 << kernel._block_bits)
+        held = np.concatenate([kernel._held[offset + (block & last)] for _ in kernel._held_blocks(high)], axis=1)
         for i in range(size):
             index = (high << kernel.chunk_bits) + i
             bits = [0] * f.num_vars
@@ -345,7 +359,7 @@ def test_kernel_needs_stay_within_block_budget(monkeypatch):
 
     def spy(form, x):
         widths.append(x.shape[1])
-        assert len(form.cols) * x.shape[1] <= budget
+        assert len(form.cols) * x.shape[1] <= oracle._BLOCK_BYTES
         return true_counts(form, x)
 
     monkeypatch.setattr(oracle._LinearForm, "true_counts", spy)
@@ -360,7 +374,10 @@ def test_kernel_needs_stay_within_block_budget(monkeypatch):
         assert counts[index] == count_satisfied(f, a)
     # 200 pairs x_v, not x_v over the 16 variables: all 2^16 assignments
     # tie, and the narrowing reads their rows' held values in one pass over
-    # the blocks, with the needs built a bounded slice at a time
+    # the blocks, with the needs built a bounded slice at a time.  One-literal
+    # rows are narrow, so their width groups fit 2^12-position blocks in one
+    # slice at the budget above; a smaller one keeps several slices.
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1 << 14)
     ties = Formula(n, tuple(or_clause(s * (i % n + 1)) for i in range(200) for s in (1, -1)))
     kernel = oracle._SatisfiedCounts(ties.constraints, range(1, n + 1))
     widths.clear()
@@ -370,3 +387,81 @@ def test_kernel_needs_stay_within_block_budget(monkeypatch):
     widths.clear()
     assert kernel.first_max_satisfied_set() == list(range(0, 400, 2))
     assert widths == counting
+
+
+def test_group_widths_merge_narrow_groups_that_save_too_little(monkeypatch):
+    monkeypatch.setattr(oracle, "_MERGE_CELLS", 100)
+    # widths 0..6 with 1, 0, 3, 0, 2, 1, 4 rows: width 5's one row would
+    # save 32 cells and joins 6; width 4's two save 64 and join 6; width 2's
+    # three save 180 of 64 and stay; width 0's row saves 3 and joins 2
+    assert oracle._group_widths([1, 0, 3, 0, 2, 1, 4]) == [2, 1, 2, 3, 6, 6, 6]
+    monkeypatch.setattr(oracle, "_MERGE_CELLS", 0)
+    assert oracle._group_widths([1, 0, 3, 0, 2, 1, 4]) == list(range(7))
+
+
+def test_grouped_kernel_reads_each_row_over_its_own_width(monkeypatch):
+    # rows over only the last variables beside rows over the first, of both
+    # kinds, and constant rows; no merging and one 2^8-position block
+    set_kernel_layout(monkeypatch, 16, 1 << 19, merge_cells=0)
+    f = Formula(
+        8,
+        (
+            or_clause(8),
+            parity(1, 7, -8),
+            at_least(2, 6, -7, 8),
+            parity(0, -6, 8),
+            or_clause(1, -2),
+            and_term(-1, 8),
+            parity(1, 1, 5),
+            majority(2, -3, 4),
+            Constraint(Kind.OR, ()),
+            at_least(0, 3, 4),
+            at_least(4, 1, 2, 3),
+            parity(1),
+        ),
+    )
+    kernel = oracle._SatisfiedCounts(f.constraints, range(1, 9))
+    assert kernel._block_bits == 8
+    # widths 1, 2, 3 and 8: x8 is index bit 0 and x1 bit 7
+    assert group_layout(kernel) == [(1, 1, 0), (2, 0, 1), (3, 1, 1), (7, 1, 0), (8, 2, 1)]
+    assert_kernel_matches_scalar(f, list(range(1, 9)))
+    assert_matches_naive(f)
+    # merged at the default cost, the same rows are one group of width 8
+    monkeypatch.setattr(oracle, "_MERGE_CELLS", 1 << 15)
+    assert group_layout(oracle._SatisfiedCounts(f.constraints, range(1, 9))) == [(8, 5, 3)]
+
+
+@pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
+def test_grouped_kernel_layouts_match_scalar_evaluation(monkeypatch, chunk_bits, block_bytes):
+    # every row compared over its own width: rows of both kinds spread over
+    # several groups, constant rows, one chunk (first_max_satisfied_set) or
+    # several, one block or several
+    set_kernel_layout(monkeypatch, chunk_bits, block_bytes, merge_cells=0)
+    rng = random.Random(7000 + chunk_bits * 1000 + block_bytes)
+    spread = 0  # kernels whose rows of each kind lie in two groups or more
+    for trial in range(10):
+        n = rng.randint(3, 8)
+        f = every_kind_formula(rng, n, rng.randint(8, 16), spread=True)
+        variables = list(range(1, n + 1))
+        layout = group_layout(oracle._SatisfiedCounts(f.constraints, variables))
+        spread += sum(geq > 0 for _, geq, _ in layout) >= 2 and sum(par > 0 for _, _, par in layout) >= 2
+        assert_kernel_matches_scalar(f, variables)
+        rng.shuffle(variables)
+        assert_kernel_matches_scalar(f, variables)
+        assert_matches_naive(f)
+    # a one-byte budget leaves blocks of one position, where every row has width 0
+    assert spread >= 2 or block_bytes == 1
+
+
+@pytest.mark.parametrize("chunk_bits, block_bytes", [(16, 1 << 19), (4, 1 << 19)])
+def test_grouped_kernel_counts_beyond_255_rows(monkeypatch, chunk_bits, block_bytes):
+    # 320 varying rows spread over every width: a block's sums leave uint8
+    # while the narrow groups' sums are tiled into the wide ones
+    set_kernel_layout(monkeypatch, chunk_bits, block_bytes, merge_cells=0)
+    rng = random.Random(33)
+    f = every_kind_formula(rng, 7, 80, spread=True)
+    f = Formula(7, f.constraints + random_formula(7, 240, {"OR": 1, "PARITY": 1}, (1, 2), seed=34).constraints)
+    kernel = oracle._SatisfiedCounts(f.constraints, range(1, 8))
+    assert len(kernel._form.target) > 255 and len(kernel._groups) >= 4
+    assert_kernel_matches_scalar(f, list(range(1, 8)))
+    assert_matches_naive(f)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maxcsp import (
+    ContractViolationError,
     Formula,
     random_formula,
     Graph,
@@ -147,6 +148,22 @@ def test_witnesses_verify_and_are_lex_minimal():
     assert vc.witness == (0, 2, 4)
     fvs = feedback_vertex_set(g, 12)
     assert fvs.witness == (0,)
+
+
+@pytest.mark.parametrize(
+    "check, vertices, outside",
+    [
+        (is_feedback_vertex_set, [0, 99], 99),
+        (is_vertex_cover, [0, 1, 42], 42),
+        (is_vertex_cover, [-1, 0, 1], -1),
+        (is_feedback_vertex_set, [3, 7], 3),
+    ],
+)
+def test_witness_checks_reject_vertices_outside_the_graph(check, vertices, outside):
+    # on the triangle (vertices 0..2) both checks used to ignore such a vertex
+    # and answer True; the first one outside 0..|V| - 1 is named
+    with pytest.raises(ContractViolationError, match=f"vertex {outside} is not in a graph on 3 vertices"):
+        check(cycle_graph(3), vertices)
 
 
 def test_negative_budget_rejected():
