@@ -322,13 +322,15 @@ def _compare_task(task: tuple) -> list[tuple]:
 
     The file is parsed once, and every exact solve of the task (the oracle
     row, cw-as projections, the oracle_opt column) goes through one memo.
-    A file that does not parse or cannot be read fails only its own rows.
+    A file that does not parse, cannot be read or declares more variables
+    than ``formats.MAX_DECLARED_VARS`` fails only its own rows.
     """
     path, name, runs, options = task
     try:
         f = parse_instance(_read_text(path))
-    except (ParseError, MalformedInstanceError, OSError):
-        return [(name, alg, eps or "", None, None, "", "error:parse", None) for alg, eps in runs]
+    except (ParseError, MalformedInstanceError, OSError, ResourceLimitError) as exc:
+        status = "error:resource" if isinstance(exc, ResourceLimitError) else "error:parse"
+        return [(name, alg, eps or "", None, None, "", status, None) for alg, eps in runs]
     exact = _exact_memo(options.oracle_limit)
     solved = []
     # The oracle row runs first, so its time_ms holds the exact solve that

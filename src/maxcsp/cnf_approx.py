@@ -19,9 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     ContractViolationError,
@@ -33,6 +31,9 @@ from .errors import (
 from .model import Assignment, Constraint, Formula, Kind, Literal, count_satisfied
 from .oracle import DEFAULT_VAR_LIMIT, OracleResult, _LinearForm, max_csp_bruteforce
 from .report import parse_fraction
+
+if TYPE_CHECKING:  # numpy is imported where it is used, as in oracle
+    import numpy as np
 
 DEFAULT_TRIALS = 32
 DEFAULT_WINDOW_EXPONENT = 4
@@ -240,6 +241,7 @@ def _draw_candidates(
     ``getrandbits(1)`` is the top bit of one 32-bit generator output, and
     ``randbytes(4 * k)`` lays k outputs out as little-endian words in order,
     so each stream is drawn in one call and read as the words' top bits."""
+    import numpy as np
     x = np.empty((len(trials), len(candidates), num_vars), dtype=np.uint8)
     for i, (label, base) in enumerate(candidates):
         free = [v - 1 for v in range(1, num_vars + 1) if v not in base]
@@ -280,6 +282,7 @@ def approx_max_cnf(
     step, whichever backend solves it (the oracle when ``exact_backend`` is
     None).
     """
+    import numpy as np
     try:
         _require_cnf(f)
     except ContractViolationError as exc:

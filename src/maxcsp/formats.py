@@ -26,7 +26,7 @@ import hashlib
 import re
 from typing import Callable
 
-from .errors import MalformedInstanceError, ParseError
+from .errors import MalformedInstanceError, ParseError, ResourceLimitError
 from .model import Constraint, Formula, Kind, Literal
 
 _KIND_TO_TAG = {
@@ -38,6 +38,12 @@ _KIND_TO_TAG = {
 }
 _TAG_TO_KIND = {v: k for k, v in _KIND_TO_TAG.items()}
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
+# The most variables an instance file may declare.  The commands allocate per
+# declared variable, whether or not a constraint uses it; the most is the
+# incidence graph's build, about 240 bytes each (an empty set is 216 bytes,
+# plus its list and tuple slots).  2^20 variables keep that near 240 MiB, so a
+# header alone cannot ask for more.
+MAX_DECLARED_VARS = 1 << 20
 
 
 def plain_number(convert: Callable) -> Callable:
@@ -58,7 +64,9 @@ _decimal = plain_number(int)
 
 
 def parse_instance(text: str) -> Formula:
-    """Parse MCSP text into a Formula, reporting errors with line numbers."""
+    """Parse MCSP text into a Formula, reporting errors with line numbers.
+    A header that declares more than ``MAX_DECLARED_VARS`` variables raises
+    ``ResourceLimitError`` before anything is built per variable."""
     num_vars: int | None = None
     declared: int | None = None
     constraints: list[Constraint] = []
@@ -82,6 +90,10 @@ def parse_instance(text: str) -> Formula:
                 raise ParseError(ln, "header counts must be integers") from None
             if num_vars < 0 or declared < 0:
                 raise ParseError(ln, "header counts must be non-negative")
+            if num_vars > MAX_DECLARED_VARS:
+                raise ResourceLimitError(
+                    f"instance declares {num_vars} variables, the limit is {MAX_DECLARED_VARS}"
+                )
             continue
         if num_vars is None:
             raise ParseError(ln, "constraint line before header")

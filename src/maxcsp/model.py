@@ -22,6 +22,12 @@ class Kind(str, Enum):
     MAJORITY = "MAJORITY"
 
 
+# Reading a member off the class goes through the enum's metaclass, about ten
+# times a global read; the per-constraint scoring paths below read these
+# instead.
+_OR, _AND, _PARITY, _THRESHOLD, _MAJORITY = Kind.OR, Kind.AND, Kind.PARITY, Kind.THRESHOLD, Kind.MAJORITY
+
+
 class Literal(NamedTuple):
     var: int
     positive: bool = True
@@ -95,13 +101,14 @@ class Constraint:
     def effective_threshold(self) -> int:
         """Number of true literals required: every kind except PARITY is
         "at least t literals true"."""
-        if self.kind is Kind.THRESHOLD:
+        kind = self.kind
+        if kind is _THRESHOLD:
             return self.threshold  # type: ignore[return-value]
-        if self.kind is Kind.OR:
+        if kind is _OR:
             return 1
-        if self.kind is Kind.AND:
+        if kind is _AND:
             return self.arity
-        if self.kind is Kind.MAJORITY:
+        if kind is _MAJORITY:
             return (self.arity + 1) // 2
         raise ContractViolationError(f"{self.kind.value} constraint has no threshold")
 
@@ -207,9 +214,9 @@ def _holds(c: Constraint, bits: tuple[int, ...]) -> bool:
         if bits[var - 1] == positive:
             true_count += 1
     kind = c.kind
-    if kind is Kind.THRESHOLD:
+    if kind is _THRESHOLD:
         return true_count >= c.threshold  # type: ignore[operator]
-    if kind is Kind.PARITY:
+    if kind is _PARITY:
         return (true_count & 1) == c.parity_rhs
     return true_count >= c.effective_threshold()
 
@@ -239,7 +246,7 @@ def satisfied_counter(f: Formula) -> Callable[[int], int]:
     for c in f.constraints:
         pos = sum(1 << (var - 1) for var, positive in c.literals if positive)
         neg = sum(1 << (var - 1) for var, positive in c.literals if not positive)
-        if c.kind is Kind.PARITY:
+        if c.kind is _PARITY:
             odd.append((pos | neg, c.parity_rhs ^ (neg.bit_count() & 1)))  # type: ignore[operator]
         else:
             geq.append((pos, neg, c.effective_threshold() - neg.bit_count()))

@@ -6,9 +6,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ContractViolationError, MalformedInstanceError, ResourceLimitError
 from .model import (
@@ -19,6 +17,11 @@ from .model import (
     Literal,
     normalize_parity,
 )
+
+# numpy is imported by each function that uses it, so that importing the
+# package, and the commands that never score assignments, do not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_VAR_LIMIT = 26
 _CHUNK_BITS = 16
@@ -54,6 +57,7 @@ def max_csp_bruteforce(f: Formula, var_limit: int = DEFAULT_VAR_LIMIT) -> Oracle
     comparisons a block, with tables within ``_BLOCK_BYTES``.  At most 255
     variables, whatever ``var_limit``.
     """
+    import numpy as np
     n = f.num_vars
     # A constraint's variables are distinct, so its threshold is at most n;
     # the kernel's uint8 needs hold it only up to 255.
@@ -91,6 +95,7 @@ class _LinearForm:
     """
 
     def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
+        import numpy as np
         geq: list[tuple[int, int]] = []  # (constraint, target)
         par: list[tuple[int, int]] = []
         self.const: dict[int, bool] = {}
@@ -117,6 +122,7 @@ class _LinearForm:
     def true_counts(self, x: np.ndarray) -> np.ndarray:
         """Each row's true literals at each column of ``x``: 0/1 values, one
         row per variable in ``variables`` order."""
+        import numpy as np
         return np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
 
     def score(self, x: np.ndarray) -> np.ndarray:
@@ -124,6 +130,7 @@ class _LinearForm:
         ``true_counts``: a row holds when its count is at least its target
         in the first ``num_geq`` rows, and when its count mod 2 equals its
         target in the PARITY rows."""
+        import numpy as np
         counts = self.true_counts(x)
         k = self.num_geq
         counts[k:] &= 1
@@ -175,6 +182,7 @@ class _SatisfiedCounts:
     """
 
     def __init__(self, constraints: Sequence[Constraint], variables: Sequence[int]):
+        import numpy as np
         n = len(variables)
         self.chunk_bits = min(n, _CHUNK_BITS)
         self.num_chunks = 1 << (n - self.chunk_bits)
@@ -252,6 +260,7 @@ class _SatisfiedCounts:
         """Each row's need in each of ``blocks`` (columns), rows in width
         order: its target less its true literals on the block's bits from b
         up, at least 0, or mod 2 for a PARITY row."""
+        import numpy as np
         form = self._form
         # the assignment at each block's first index, one column per block
         x = (((blocks << self._block_bits) >> self._shift) & 1).astype(np.uint8)
@@ -263,6 +272,7 @@ class _SatisfiedCounts:
         which rows hold at each position of the block in ``_held``, which the
         next block overwrites.  The needs are built a slice of blocks at a
         time."""
+        import numpy as np
         per_chunk = 1 << (self.chunk_bits - self._block_bits)
         for lo in range(0, per_chunk, self._slice):
             need = self._needs(np.arange(lo, min(lo + self._slice, per_chunk)) + high * per_chunk)
@@ -277,6 +287,7 @@ class _SatisfiedCounts:
     def _held_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(offset, last) by row, in width order, as columns: row r's held
         value at position i of a block is ``_held[offset[r] + (i & last[r])]``."""
+        import numpy as np
         group_span = np.array([table.shape[1] for *_, table, _ in self._groups], dtype=np.intp)
         span = np.repeat(group_span, [e - s for s, _, e, *_ in self._groups])[:, None]
         return np.cumsum(span, axis=0) - span, span - 1
@@ -284,6 +295,7 @@ class _SatisfiedCounts:
     def _block_counts(self, out: np.ndarray) -> None:
         """The satisfied varying rows at each position of the block last
         yielded by ``_held_blocks``, written to ``out``."""
+        import numpy as np
         sums = None
         for _, _, _, _, held in self._groups:
             wider = np.add.reduce(held, axis=0, dtype=self._sum_type)
@@ -302,6 +314,7 @@ class _SatisfiedCounts:
 
     def counts(self, high: int) -> np.ndarray:
         """Satisfied count of each assignment of chunk ``high``, in a new array."""
+        import numpy as np
         size = 1 << self._block_bits
         counts = np.empty(1 << self.chunk_bits, dtype=np.int32)
         for start in self._held_blocks(high):
@@ -320,6 +333,7 @@ class _SatisfiedCounts:
         the most, then has the largest vector, wins.  Constant constraints
         are the same in every vector.
         """
+        import numpy as np
         if self.num_chunks != 1:
             raise AssertionError(f"{len(self._shift)} variables span {self.num_chunks} oracle chunks")
         form = self._form

@@ -70,13 +70,17 @@ def neighborhood_diversity(g: Graph) -> NdPartition:
     by_closed: dict[int, list[int]] = {}
     classes: list[list[int]] = []
     for u, nbrs in enumerate(g.masks):
-        closed = nbrs | 1 << u
+        # an isolated vertex has no adjacent twin, and its N[u] would take u
+        # bits, so it is looked up by N(u) alone
+        closed = nbrs | 1 << u if nbrs else None
         cls = by_open.get(nbrs) or by_closed.get(closed)
         if cls is None:
             cls = []
             classes.append(cls)
         cls.append(u)
-        by_open[nbrs] = by_closed[closed] = cls
+        by_open[nbrs] = cls
+        if nbrs:
+            by_closed[closed] = cls
     kinds = tuple(
         "clique" if len(cls) > 1 and g.masks[cls[0]] >> cls[1] & 1 else "independent" for cls in classes
     )

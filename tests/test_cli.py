@@ -17,7 +17,7 @@ from maxcsp import (
     parse_instance,
     serialize_instance,
 )
-from maxcsp import cli, cover_solver
+from maxcsp import cli, cover_solver, formats
 from maxcsp.cli import main
 
 FOREST = "p mcsp 2 3\nt 1 1 2 0\nt 1 -1 0\nt 1 -2 0\n"
@@ -913,6 +913,67 @@ def test_importing_the_cli_loads_no_multiprocessing():
     code = "import sys, maxcsp.cli; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
+    # One fresh interpreter: importing the package and the commands that score
+    # no assignment leave numpy unloaded, and the oracle's kernel loads it.
+    forest, hub, par = (write(tmp_path, n, t) for n, t in (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT)))
+    out = str(tmp_path / "out.mcsp")
+    commands = [
+        ["solve", forest, "--alg", "tree"],
+        ["solve", hub, "--alg", "fvs-as", "--epsilon", "1/2"],
+        ["analyze", hub],
+        ["generate", "random", "-o", out],
+        ["generate", "mcc-thr", "-o", out, "--k", "2", "--n", "2", "--complete"],
+        ["solve", par, "--alg", "parity-sat"],
+        ["solve", forest, "--alg", "oracle"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import maxcsp\n"
+        "steps = [(None, 'numpy' in sys.modules, '')]\n"
+        "from maxcsp.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
+        "        exit_code = main(argv)\n"
+        "    steps.append((exit_code, 'numpy' in sys.modules, buf.getvalue()))\n"
+        "print(json.dumps(steps))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, check=True)
+    steps = json.loads(proc.stdout)
+    assert [(exit_code, loaded) for exit_code, loaded, _ in steps] == [(None, False)] + [(0, False)] * 6 + [(0, True)]
+    assert "route=approx" in steps[2][2]
+
+
+def test_a_file_declaring_too_many_variables_exits_3_and_fails_only_its_rows(tmp_path):
+    # 27 bytes that declare 300 M variables, beside two forests.  Commands once
+    # allocated per declared variable here, so the child runs under a 1 GiB
+    # address-space cap: such a regression ends in a MemoryError, not in tens of GB.
+    d = tmp_path / "d"
+    d.mkdir()
+    write(d, "a.mcsp", FOREST)
+    write(d, "b.mcsp", SIBLING_TIE)
+    huge = write(d, "huge.mcsp", "p mcsp 300000000 1\no 1 2 0\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from maxcsp.cli import main\n"
+        "huge, d = sys.argv[1:]\n"
+        "codes = [main(['analyze', huge]), main(['solve', huge, '--alg', 'cw-as', '--epsilon', '1/10'])]\n"
+        "codes.append(main(['compare', '--algs', 'tree', '--dir', d, '--workers', '1', '-o', '-']))\n"
+        "print(codes)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, huge, str(d)], capture_output=True, text=True)
+    message = f"error: instance declares 300000000 variables, the limit is {formats.MAX_DECLARED_VARS}\n"
+    assert proc.stderr == message * 2
+    assert proc.stdout.splitlines() == [
+        "instance,algorithm,epsilon,value,oracle_opt,ratio,status,time_ms",
+        "a.mcsp,tree,,2,2,1/1,ok,",
+        "b.mcsp,tree,,2,2,1/1,ok,",
+        "huge.mcsp,tree,,,,,error:resource,",
+        "[3, 3, 0]",
+    ]
 
 
 def test_residual_search_past_its_budget_exits_3_within_seconds(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from maxcsp import (
     Formula,
     ParseError,
+    ResourceLimitError,
     and_term,
     at_least,
     instance_digest,
@@ -17,6 +18,7 @@ from maxcsp import (
     serialize_instance,
     serialize_mcc,
 )
+from maxcsp.formats import MAX_DECLARED_VARS
 
 
 SAMPLE = """c a comment
@@ -103,6 +105,16 @@ def test_parse_error_bad_parity_rhs():
 def test_parse_error_missing_header():
     with pytest.raises(ParseError):
         parse_instance("o 1 0\n")
+
+
+def test_a_header_past_the_variable_limit_is_a_resource_limit():
+    # checked on the header, before any constraint line, and nothing is built per variable
+    assert parse_instance(f"p mcsp {MAX_DECLARED_VARS} 0\n").num_vars == MAX_DECLARED_VARS
+    for header in (f"p mcsp {MAX_DECLARED_VARS + 1} 1", "p mcsp 300000000 1"):
+        with pytest.raises(ResourceLimitError) as err:
+            parse_instance(header + "\no 1 2 0\n")
+        declared = header.split()[2]
+        assert str(err.value) == f"instance declares {declared} variables, the limit is {MAX_DECLARED_VARS}"
 
 
 def test_comments_and_blank_lines_ignored():

@@ -68,6 +68,22 @@ def test_nd_edgeless():
     assert neighborhood_diversity(Graph(5)).k == 1
 
 
+def test_nd_keeps_no_closed_neighbourhood_of_an_isolated_vertex():
+    # N[u] of isolated vertex u is a u-bit int, so keeping one per isolated
+    # vertex took memory quadratic in them: 1.5 MB at 2^12, 64 GiB at 2^20
+    import tracemalloc
+
+    g = Graph(1 << 12, [(0, 1)])
+    tracemalloc.start()
+    try:
+        nd = neighborhood_diversity(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(c) for c in nd.classes] == [2, (1 << 12) - 2]
+    assert peak < 1 << 19
+
+
 def test_nd_matches_exhaustive_partition_search():
     rng = random.Random(7)
     for n in range(1, 8):
