@@ -6,9 +6,14 @@ at-most-k covered constraints form a residual whose optimum is found by
 testing constraint subsets in decreasing size with a type-vector counting
 argument: variables with identical occurrence patterns are interchangeable,
 so only the number set to true per pattern matters.  A residual whose
-constraints cannot all hold and whose occurring variables fit one oracle
-chunk has those variables' assignments enumerated instead of its smaller
-subsets (see ``residual_exact_max``, which runs under a node budget).
+constraints cannot all hold and whose occurring variables number at most 16
+has those variables' assignments enumerated instead of its smaller subsets
+(see ``residual_exact_max``, which runs under a node budget).
+
+Both enumerations, the cover assignments' counts and a small residual's,
+run in the oracle's bitset kernel (``_BitCounts``, Python ints) when they
+cover at most 16 variables, so that the solver loads numpy only for the
+counts of a cover of more than 16 variables.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Sequence
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import VertexSplit, check_split_range
 from .model import Assignment, Constraint, Formula, Kind, Literal, satisfied_counter
-from .oracle import OracleResult, _SatisfiedCounts
+from .oracle import OracleResult, _BitCounts, _SatisfiedCounts
 
 # Type-class search nodes (``feasible_true_counts``) that one
 # ``residual_exact_max`` call may visit in all: about 30 times the largest
@@ -156,8 +161,9 @@ def residual_exact_max(f: Formula) -> OracleResult:
     feasibility under taking subsets makes that the optimum.  The witness
     sets, per type class, the lowest-index variables true.
 
-    Below the whole set, when the r occurring variables fit one oracle
-    chunk, their 2^r assignments are enumerated instead.  An assignment that
+    Below the whole set, when the r occurring variables are at most 16,
+    their 2^r assignments are enumerated instead, by the oracle's bitset
+    kernel.  An assignment that
     satisfies a feasible subset of the optimum's size satisfies exactly that
     subset, so the first feasible subset is the first of the maximisers'
     satisfied sets in the same order, and its witness comes from the same
@@ -181,8 +187,8 @@ def residual_exact_max(f: Formula) -> OracleResult:
                 f"{RESIDUAL_NODE_BUDGET} search nodes"
             )
     for size in range(m, -1, -1):
-        if size < m and _SatisfiedCounts.one_chunk(len(relevant)):
-            subset = _SatisfiedCounts(f.constraints, relevant).first_max_satisfied_set()
+        if size < m and _BitCounts.fits(len(relevant)):
+            subset = _BitCounts(f.constraints, relevant).first_max_satisfied_set()
             witness = _subset_witness(f, occ, relevant, subset, visit)
             if witness is None:
                 raise AssertionError("a maximiser's satisfied set failed the subset search")
@@ -219,8 +225,9 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     """Exact optimum given a verified vertex cover of the incidence graph.
 
     The constraints outside the cover are counted for all 2^k assignments of
-    the k cover variables in one pass of the oracle's satisfied-count
-    kernel, whose index order is ``product`` order.  The residual of the
+    the k cover variables by the oracle's bitset kernel for k at most 16,
+    and chunk by chunk by its numpy kernel above; in both, index order is
+    ``product`` order.  The residual of the
     covered constraints depends only on the cover variables that occur in
     it, so it is built in one pass and solved once per assignment of those:
     each covered constraint becomes a THRESHOLD on its literals off the
@@ -238,10 +245,11 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     for c in outside:
         if not cover.variables.issuperset(c.variables):
             raise AssertionError("uncovered constraint with a variable outside the cover")
-    kernel = _SatisfiedCounts(outside, cover_vars)
-    fixed_counts = chain.from_iterable(
-        kernel.counts(high).tolist() for high in range(kernel.num_chunks)
-    )
+    if _BitCounts.fits(len(cover_vars)):
+        fixed_counts = _BitCounts(outside, cover_vars).counts()
+    else:
+        kernel = _SatisfiedCounts(outside, cover_vars)
+        fixed_counts = chain.from_iterable(kernel.counts(high).tolist() for high in range(kernel.num_chunks))
     # Assignments are bitsets, bit x - 1 for variable x.  sigmas lists the
     # cover assignments in ``product`` order; a residual depends only on the
     # cover variables that occur in covered constraints, the key.

@@ -141,7 +141,14 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
                 if edge is None:
                     edge = (u, w.bit_length() - 1)
         if edge is None:
-            cand = tuple(v for v in range(g.num_vertices) if chosen >> v & 1)
+            # the set bits of chosen, lowest first: one step per chosen vertex,
+            # not one shift of chosen per vertex of the graph
+            members, rest = [], chosen
+            while rest:
+                low = rest & -rest
+                members.append(low.bit_length() - 1)
+                rest ^= low
+            cand = tuple(members)
             if best[0] is None or (size, cand) < (best[0], best[1]):
                 best[0], best[1] = size, cand
             return

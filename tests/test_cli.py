@@ -916,9 +916,12 @@ def test_importing_the_cli_loads_no_multiprocessing():
 
 
 def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
-    # One fresh interpreter: importing the package and the commands that score
-    # no assignment leave numpy unloaded, and the oracle's kernel loads it.
-    forest, hub, par = (write(tmp_path, n, t) for n, t in (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT)))
+    # One fresh interpreter: importing the package, the commands that score
+    # no assignment and those that score at most 2^16 at once (the bitset
+    # kernel) leave numpy unloaded; the oracle on 17 variables loads it.
+    texts = (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT), ("six.mcsp", SIX_VARIABLE))
+    forest, hub, par, six = (write(tmp_path, n, t) for n, t in texts)
+    wide = write(tmp_path, "wide.mcsp", "p mcsp 17 2\no 1 17 0\nt 2 -1 -17 0\n")
     out = str(tmp_path / "out.mcsp")
     commands = [
         ["solve", forest, "--alg", "tree"],
@@ -927,7 +930,10 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         ["generate", "random", "-o", out],
         ["generate", "mcc-thr", "-o", out, "--k", "2", "--n", "2", "--complete"],
         ["solve", par, "--alg", "parity-sat"],
-        ["solve", forest, "--alg", "oracle"],
+        ["solve", six, "--alg", "vc"],
+        ["solve", six, "--alg", "fvs-as", "--epsilon", "1/2"],
+        ["solve", six, "--alg", "oracle"],
+        ["solve", wide, "--alg", "oracle"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
@@ -942,8 +948,9 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, check=True)
     steps = json.loads(proc.stdout)
-    assert [(exit_code, loaded) for exit_code, loaded, _ in steps] == [(None, False)] + [(0, False)] * 6 + [(0, True)]
+    assert [(exit_code, loaded) for exit_code, loaded, _ in steps] == [(None, False)] + [(0, False)] * 9 + [(0, True)]
     assert "route=approx" in steps[2][2]
+    assert "route=exact-small" in steps[8][2]
 
 
 def test_a_file_declaring_too_many_variables_exits_3_and_fails_only_its_rows(tmp_path):

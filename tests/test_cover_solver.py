@@ -193,13 +193,13 @@ def _enumerated(f: Formula, value: int) -> bool:
 
 def test_routed_residual_equals_subset_search(monkeypatch):
     calls = []
-    enumerate_sets = oracle._SatisfiedCounts.first_max_satisfied_set
+    enumerate_sets = oracle._BitCounts.first_max_satisfied_set
 
     def spy(kernel):
         calls.append(kernel)
         return enumerate_sets(kernel)
 
-    monkeypatch.setattr(oracle._SatisfiedCounts, "first_max_satisfied_set", spy)
+    monkeypatch.setattr(oracle._BitCounts, "first_max_satisfied_set", spy)
     seen = {}
     total = 0
     for family, f in _routing_formulas():
@@ -226,7 +226,7 @@ def test_routed_residual_equals_subset_search(monkeypatch):
 def test_residual_without_enumeration_beyond_one_chunk(monkeypatch):
     # With the oracle's chunk limit below r, every level is a subset search.
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 1)
-    monkeypatch.setattr(oracle._SatisfiedCounts, "first_max_satisfied_set", None)
+    monkeypatch.setattr(oracle._BitCounts, "first_max_satisfied_set", None)
     rng = random.Random(77)
     would_enumerate = 0
     for _ in range(40):
@@ -274,9 +274,11 @@ def test_residual_enumeration_reads_the_oracle_chunk_constant(monkeypatch):
 
 
 def test_first_max_satisfied_set_refuses_several_chunks(monkeypatch):
+    # the bitset kernel, which alone narrows the maximisers, takes one chunk
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
-    with pytest.raises(AssertionError, match="span 2 oracle chunks"):
-        oracle._SatisfiedCounts([or_clause(1, 2, 3)], [1, 2, 3]).first_max_satisfied_set()
+    oracle._BitCounts([or_clause(1, 2)], [1, 2]).first_max_satisfied_set()
+    with pytest.raises(AssertionError, match="^3 variables exceed one 2-bit oracle chunk$"):
+        oracle._BitCounts([or_clause(1, 2, 3)], [1, 2, 3]).first_max_satisfied_set()
 
 
 def _random_vertex_cover(rng: random.Random, f: Formula) -> VertexSplit:

@@ -82,12 +82,32 @@ def test_oracle_invariant_under_constraint_permutation():
 
 
 def assert_matches_naive(f):
-    """The kernel agrees with the plain product enumeration on value and on
+    """The oracle, through whichever kernel it picks, and the numpy kernel
+    built directly agree with the plain product enumeration on value and on
     the lexicographically first maximizer."""
     value, witness = naive_max_csp(f)
     res = max_csp_bruteforce(f)
     assert res.value == value
     assert res.witness == witness
+    n = f.num_vars
+    kernel = oracle._SatisfiedCounts(f.constraints, range(1, n + 1))
+    counts = np.concatenate([kernel.counts(high) for high in range(kernel.num_chunks)])
+    first = int(np.argmax(counts))
+    assert counts[first] == value
+    assert Assignment(tuple(first >> (n - i) & 1 for i in range(1, n + 1))) == witness
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_oracle_kernels_meet_at_one_chunk(n):
+    # 16 variables are the bitset kernel's most, and 17 the numpy kernel's
+    # fewest in production; the constraints read the first and last index bits
+    f = random_formula(n, 6, {"OR": 1, "PARITY": 1, "THRESHOLD": 1, "MAJORITY": 1}, (1, 4), seed=1600 + n)
+    f = Formula(n, f.constraints + (or_clause(1, -n), parity(1, 2, n - 1)))
+    assert oracle._BitCounts.fits(n) == (n == 16)
+    assert_matches_naive(f)
+    if n == 16:
+        bits = oracle._BitCounts(f.constraints, range(1, n + 1))
+        assert bits.counts() == oracle._SatisfiedCounts(f.constraints, range(1, n + 1)).counts(0).tolist()
 
 
 @pytest.mark.parametrize("n", [17, 18])
@@ -160,10 +180,15 @@ def test_oracle_kernel_parity_rhs(rhs):
 
 
 def test_oracle_kernel_counts_beyond_16_bits():
-    # 70 000 satisfied constraints overflow any 16-bit counter
+    # 70 000 satisfied constraints overflow any 16-bit counter; the bitset
+    # kernel's counts take 17 bit planes, and the numpy kernel's sums of more
+    # than 255 rows are int32
     f = Formula(2, (or_clause(1),) * 40_000 + (or_clause(-2),) * 30_000 + (parity(0, 1, 2),) * 5)
     assert_matches_naive(f)
     assert max_csp_bruteforce(f).value == 70_000
+    expected = [30_005, 0, 70_000, 40_005]
+    assert oracle._BitCounts(f.constraints, [1, 2]).counts() == expected
+    assert oracle._SatisfiedCounts(f.constraints, [1, 2]).counts(0).tolist() == expected
 
 
 def test_oracle_kernel_rejects_counts_beyond_uint8(monkeypatch):
@@ -297,13 +322,29 @@ def assert_kernel_matches_scalar(f, variables):
     n = len(variables)
     size = 1 << kernel.chunk_bits
     sets = []
+    block = 1 << kernel._block_bits
+    rank = np.argsort(kernel._order)
+    # _LinearForm's rows: the varying constraints, "at least" ones first,
+    # each kind in constraint order
+    varying = [j for j in range(f.num_constraints) if j not in form.const]
+    row_of = {j: r for r, j in enumerate(sorted(varying, key=lambda j: f.constraints[j].kind is Kind.PARITY))}
+    every_count = []
     for high in range(kernel.num_chunks):
         counts = kernel.counts(high)
+        every_count += counts.tolist()
         # every row's held value at every assignment of the chunk, block by
-        # block, read through the width groups (rows in _LinearForm order)
-        offset, last = (a[np.argsort(kernel._order)] for a in kernel._held_index())
-        block = np.arange(1 << kernel._block_bits)
-        held = np.concatenate([kernel._held[offset + (block & last)] for _ in kernel._held_blocks(high)], axis=1)
+        # block: each group's 2^w held columns tiled over the block, rows in
+        # _LinearForm order
+        held = np.concatenate(
+            [
+                np.concatenate(
+                    [np.zeros((0, block), dtype=bool)]
+                    + [np.tile(group[-1], block // group[-1].shape[1]) for group in kernel._groups]
+                )[rank]
+                for _ in kernel._held_blocks(high)
+            ],
+            axis=1,
+        )
         for i in range(size):
             index = (high << kernel.chunk_bits) + i
             bits = [0] * f.num_vars
@@ -313,15 +354,19 @@ def assert_kernel_matches_scalar(f, variables):
             assert counts[i] == count_satisfied(f, a)
             satisfied = []
             for j, c in enumerate(f.constraints):
-                got = form.const[j] if j in form.const else bool(held[form.row_of[j], i])
+                got = form.const[j] if j in form.const else bool(held[row_of[j], i])
                 assert got == eval_constraint(c, a)
                 if got:
                     satisfied.append(j)
             sets.append((counts[i], satisfied))
-    if kernel.num_chunks == 1:
-        # the maximisers' satisfied set that comes first in combinations order
+    if oracle._BitCounts.fits(n):
+        # the bitset kernel's counts, and the maximisers' satisfied set that
+        # comes first in combinations order
+        bits = oracle._BitCounts(f.constraints, variables)
+        assert bits.counts() == every_count
         best = max(count for count, _ in sets)
-        assert kernel.first_max_satisfied_set() == min(s for count, s in sets if count == best)
+        assert bits.value == best
+        assert bits.first_max_satisfied_set() == min(s for count, s in sets if count == best)
 
 
 @pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
@@ -372,21 +417,6 @@ def test_kernel_needs_stay_within_block_budget(monkeypatch):
     for index in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(40)]:
         a = Assignment(tuple((index >> (n - i)) & 1 for i in range(1, n + 1)))
         assert counts[index] == count_satisfied(f, a)
-    # 200 pairs x_v, not x_v over the 16 variables: all 2^16 assignments
-    # tie, and the narrowing reads their rows' held values in one pass over
-    # the blocks, with the needs built a bounded slice at a time.  One-literal
-    # rows are narrow, so their width groups fit 2^12-position blocks in one
-    # slice at the budget above; a smaller one keeps several slices.
-    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1 << 14)
-    ties = Formula(n, tuple(or_clause(s * (i % n + 1)) for i in range(200) for s in (1, -1)))
-    kernel = oracle._SatisfiedCounts(ties.constraints, range(1, n + 1))
-    widths.clear()
-    kernel.counts(0)
-    counting = list(widths)
-    assert len(counting) > 1
-    widths.clear()
-    assert kernel.first_max_satisfied_set() == list(range(0, 400, 2))
-    assert widths == counting
 
 
 def test_group_widths_merge_narrow_groups_that_save_too_little(monkeypatch):
@@ -434,8 +464,8 @@ def test_grouped_kernel_reads_each_row_over_its_own_width(monkeypatch):
 @pytest.mark.parametrize("chunk_bits, block_bytes", KERNEL_LAYOUTS)
 def test_grouped_kernel_layouts_match_scalar_evaluation(monkeypatch, chunk_bits, block_bytes):
     # every row compared over its own width: rows of both kinds spread over
-    # several groups, constant rows, one chunk (first_max_satisfied_set) or
-    # several, one block or several
+    # several groups, constant rows, one chunk (checked against the bitset
+    # kernel too) or several, one block or several
     set_kernel_layout(monkeypatch, chunk_bits, block_bytes, merge_cells=0)
     rng = random.Random(7000 + chunk_bits * 1000 + block_bytes)
     spread = 0  # kernels whose rows of each kind lie in two groups or more

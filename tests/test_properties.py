@@ -1,15 +1,16 @@
-"""Property tests of the forest and cover layers, the instance format and
-the model's satisfied counts.
+"""Property tests of the forest and cover layers, the instance format, the
+model's satisfied counts and the oracle's bitset kernel.
 
 The examples are derandomized, so every run draws the same ones.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from maxcsp import (  # noqa: E402
     Assignment,
@@ -29,12 +30,16 @@ from maxcsp import (  # noqa: E402
     solve_via_vertex_cover,
     vertex_cover_number,
 )
-from maxcsp.model import satisfied_counter  # noqa: E402
+from maxcsp import oracle  # noqa: E402
+from maxcsp.model import eval_constraint, satisfied_counter  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 # 60 draws of ``formulas()`` miss a PARITY constraint with an odd number of
 # negations, so the counter property draws more
 COUNTER_PROFILE = settings(PROFILE, max_examples=200)
+# the product enumeration of up to 2^16 assignments is the cost of a kernel
+# example, so the kernel property draws fewer
+KERNEL_PROFILE = settings(PROFILE, max_examples=30)
 KINDS = (Kind.OR, Kind.AND, Kind.MAJORITY, Kind.THRESHOLD)
 
 
@@ -168,6 +173,55 @@ def test_cover_solver_equals_the_oracle(instance):
         res = solve_via_vertex_cover(f, cover)
         assert res.value == opt, (f, cover)
         assert count_satisfied(f, res.witness) == res.value
+
+
+@st.composite
+def kernel_formulas(draw) -> Formula:
+    """0 to 15 variables and constraints of every kind over at most four of
+    them: empty ones, thresholds from 0 to one above the arity, and repeats
+    of an earlier constraint.  The kernel property adds a 16-variable
+    example, the kernel's most."""
+    n = draw(st.integers(0, 15))
+    out: list[Constraint] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if out and draw(st.integers(0, 3)) == 0:
+            out.append(draw(st.sampled_from(out)))
+            continue
+        scope = draw(st.lists(st.integers(1, n), max_size=4, unique=True)) if n else []
+        out.append(draw(constraints(scope, KINDS + (Kind.PARITY,))))
+    return Formula(n, tuple(out))
+
+
+SIXTEEN = Formula(
+    16,
+    (
+        Constraint(Kind.OR, (Literal(1), Literal(16, False))),
+        Constraint(Kind.OR, (Literal(1), Literal(16, False))),
+        Constraint(Kind.THRESHOLD, (Literal(8),), threshold=2),
+        Constraint(Kind.PARITY, (Literal(2), Literal(15), Literal(16)), parity_rhs=0),
+        Constraint(Kind.MAJORITY, (Literal(1, False), Literal(9), Literal(16))),
+        Constraint(Kind.AND, (Literal(1), Literal(16, False))),
+    ),
+)
+
+
+@KERNEL_PROFILE
+@given(kernel_formulas())
+@example(Formula(0, ()))
+@example(Formula(0, (Constraint(Kind.AND, ()), Constraint(Kind.PARITY, (), parity_rhs=1))))
+@example(SIXTEEN)
+def test_bitset_kernel_equals_the_product_enumeration(f):
+    # the value, the first maximiser in product order, and the maximisers'
+    # satisfied set that comes first in combinations order
+    assignments = [Assignment(bits) for bits in itertools.product((0, 1), repeat=f.num_vars)]
+    sets = [[j for j, c in enumerate(f.constraints) if eval_constraint(c, a)] for a in assignments]
+    value = max(map(len, sets))
+    first = next(i for i, s in enumerate(sets) if len(s) == value)
+    kernel = oracle._BitCounts(f.constraints, range(1, f.num_vars + 1))
+    assert (kernel.value, (kernel.maximisers & -kernel.maximisers).bit_length() - 1) == (value, first)
+    assert kernel.first_max_satisfied_set() == min(s for s in sets if len(s) == value)
+    res = max_csp_bruteforce(f)
+    assert (res.value, res.witness) == (value, assignments[first])
 
 
 @PROFILE

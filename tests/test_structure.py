@@ -119,6 +119,18 @@ def test_vc_budget_exceeded():
     assert res.exceeded and res.witness is None
 
 
+def test_vc_witness_holds_high_numbered_constraint_vertices():
+    # Constraint vertices are numbered from n up.  The one minimum cover of
+    # the first incidence graph is its three constraint vertices; in the
+    # second it is the one constraint vertex, numbered 2^12.
+    f = Formula(8, (or_clause(1, 2), or_clause(1, 3), or_clause(4, 5, 6, 7, 8)))
+    res = vertex_cover_number(build_incidence_graph(f).graph, 8)
+    assert (res.size, res.witness) == (3, (8, 9, 10))
+    n = 1 << 12
+    res = vertex_cover_number(build_incidence_graph(Formula(n, (or_clause(1, 2),))).graph, 8)
+    assert (res.size, res.witness) == (1, (n,))
+
+
 def test_fvs_forest_is_zero():
     assert feedback_vertex_set(path_graph(6), 12).size == 0
 

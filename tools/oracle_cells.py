@@ -1,15 +1,21 @@
-"""Width groups and compared cells of the oracle's satisfied-count kernel.
+"""Width groups and compared cells of the oracle's satisfied-count kernels.
 
-One line per kernel:
+One line per kernel.  A numpy kernel (``_SatisfiedCounts``, more than 16
+variables) prints
 
     <group> <name> n=<n> rows=<rows> b=<b> groups=<width:rows,...> cells=<cells> full=<full>
 
-``rows`` counts the constraints that are not constant, ``b`` is the block's
-index bits, and ``groups`` lists each width group (the low index bits its
-rows are compared over, and how many rows it has), narrowest first, or
-``-`` when there are none.  ``cells`` is the number of (row, position)
-comparisons the kernel makes over all 2^n positions, and ``full`` is
-rows × 2^n, what comparing every row at every position would take.  The
+where ``rows`` counts the constraints that are not constant, ``b`` is the
+block's index bits, and ``groups`` lists each width group (the low index
+bits its rows are compared over, and how many rows it has), narrowest
+first, or ``-`` when there are none.  ``cells`` is the number of (row,
+position) comparisons the kernel makes over all 2^n positions, and
+``full`` is rows × 2^n, what comparing every row at every position would
+take.  A bitset kernel (``_BitCounts``, at most 16 variables) prints
+
+    <group> <name> n=<n> rows=<rows> bits
+
+where ``rows`` counts every constraint, each one 2^n-bit held set.  The
 kernels are
 
 - ``oracle-compare``: ``max_csp_bruteforce`` on every instance of the
@@ -20,8 +26,9 @@ kernels are
   exact-residual workload run, in request order, named by request label and
   instance.
 
-A ``total`` line per group sums ``cells`` and ``full`` and counts the kernels
-and those with more than one group.  Nothing is timed, so two runs of one
+A ``total`` line per group sums the numpy kernels' ``cells`` and ``full``,
+counts them and those with more than one group, and counts the bitset
+kernels.  Nothing is timed, so two runs of one
 checkout print the same lines.  The script runs the ``src/`` and
 ``perfbench/`` of the directory it is started in:
 
@@ -49,7 +56,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def layout(kernel) -> tuple[int, int, int, list[tuple[int, int]]]:
-    """(n, rows, b, [(width, rows) per group]) of a satisfied-count kernel."""
+    """(n, rows, b, [(width, rows) per group]) of a numpy kernel."""
     groups = [(table.shape[1].bit_length() - 1, e - s) for s, _, e, table, _ in kernel._groups]
     return len(kernel._shift), len(kernel._form.target), kernel._block_bits, groups
 
@@ -72,14 +79,20 @@ def main(argv: list[str] | None = None) -> int:
 
     import corpus as corpus_mod
 
-    built = []
+    built = []  # a numpy kernel's layout, or a bitset kernel's (n, rows)
     init = oracle._SatisfiedCounts.__init__
+    bits_init = oracle._BitCounts.__init__
 
     def recording_init(kernel, constraints, variables):
         init(kernel, constraints, variables)
         built.append(layout(kernel))
 
+    def recording_bits_init(kernel, constraints, variables):
+        bits_init(kernel, constraints, variables)
+        built.append((len(variables), len(constraints)))
+
     oracle._SatisfiedCounts.__init__ = recording_init
+    oracle._BitCounts.__init__ = recording_bits_init
     work_dir = tempfile.mkdtemp(prefix="oracle-cells-")
     try:
         kernels = []
@@ -98,14 +111,22 @@ def main(argv: list[str] | None = None) -> int:
                 kernels.extend(("exact-residual", f"{req.label}:{req.instances[0]}", k) for k in built)
     finally:
         oracle._SatisfiedCounts.__init__ = init
+        oracle._BitCounts.__init__ = bits_init
         shutil.rmtree(work_dir, ignore_errors=True)
     for group in ("oracle-compare", "exact-residual"):
-        total = [0, 0, 0, 0]  # cells, full, kernels, kernels of several groups
+        total = [0, 0, 0, 0, 0]  # cells, full, kernels, kernels of several groups, bitset kernels
         for name, kernel in ((name, k) for g, name, k in kernels if g == group):
+            if len(kernel) == 2:
+                print(f"{group} {name} n={kernel[0]} rows={kernel[1]} bits")
+                total[4] += 1
+                continue
             text, cells, full = line(group, name, *kernel)
             print(text)
-            total = [total[0] + cells, total[1] + full, total[2] + 1, total[3] + (len(kernel[3]) > 1)]
-        print(f"total {group} cells={total[0]} full={total[1]} kernels={total[2]} several-groups={total[3]}")
+            total = [total[0] + cells, total[1] + full, total[2] + 1, total[3] + (len(kernel[3]) > 1), total[4]]
+        print(
+            f"total {group} cells={total[0]} full={total[1]} kernels={total[2]} "
+            f"several-groups={total[3]} bitset-kernels={total[4]}"
+        )
     return 0
 
 
