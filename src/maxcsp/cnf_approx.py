@@ -29,10 +29,10 @@ from .errors import (
     ResourceLimitError,
 )
 from .model import Assignment, Constraint, Formula, Kind, Literal, count_satisfied
-from .oracle import DEFAULT_VAR_LIMIT, OracleResult, _LinearForm, max_csp_bruteforce
+from .oracle import DEFAULT_VAR_LIMIT, OracleResult, max_csp_bruteforce
 from .report import parse_fraction
 
-if TYPE_CHECKING:  # numpy is imported where it is used, as in oracle
+if TYPE_CHECKING:  # numpy is imported where it is used
     import numpy as np
 
 DEFAULT_TRIALS = 32
@@ -231,6 +231,31 @@ def _project_and_solve(
     return {v: result.witness.value(rename[v]) for v in variables}
 
 
+class _LinearForm:
+    """The clauses of ``constraints`` as linear forms over the 0/1 values of
+    the variables 1..n: a clause's true literals number base + sum(+-x_v),
+    base counting its negated literals, and it holds when that is at least
+    1.  Clause r's literals are ``cols[starts[r]:starts[r] + arity]``,
+    variable positions, with ``neg`` 1 for a negated literal; an empty
+    clause never holds and has no row.
+    """
+
+    def __init__(self, constraints: Sequence[Constraint]):
+        import numpy as np
+        rows = [c.literals for c in constraints if c.literals]
+        self.cols = np.array([lit.var - 1 for lits in rows for lit in lits], dtype=np.intp)
+        self.neg = np.array([not lit.positive for lits in rows for lit in lits], dtype=np.uint8)[:, None]
+        arity = np.array([len(lits) for lits in rows], dtype=np.intp)
+        self.starts = np.cumsum(arity) - arity
+
+    def score(self, x: np.ndarray) -> np.ndarray:
+        """Satisfied clauses at each column of ``x``: 0/1 values, one row
+        per variable."""
+        import numpy as np
+        true = np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
+        return np.add.reduce(true > 0, axis=0, dtype=np.int64)
+
+
 def _draw_candidates(
     candidates: Sequence[tuple[str, dict[int, int]]], num_vars: int, seed: int, trials: range
 ) -> np.ndarray:
@@ -348,7 +373,7 @@ def approx_max_cnf(
 
     # Score the candidates in (trial, label) order, a bounded batch of
     # trials at a time; the first maximum wins.
-    form = _LinearForm(f.constraints, range(1, f.num_vars + 1))
+    form = _LinearForm(f.constraints)
     batch = max(1, _BATCH_ENTRIES // (len(candidates) * (1 + f.num_vars + f.occ + m)))
     best_value = -1
     for first in range(0, trials, batch):

@@ -11,9 +11,8 @@ has those variables' assignments enumerated instead of its smaller subsets
 (see ``residual_exact_max``, which runs under a node budget).
 
 Both enumerations, the cover assignments' counts and a small residual's,
-run in the oracle's bitset kernel (``_BitCounts``, Python ints) when they
-cover at most 16 variables, so that the solver loads numpy only for the
-counts of a cover of more than 16 variables.
+run in the oracle's bitset kernel (``_BitCounts``, Python ints), so the
+solver never loads numpy.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 from .errors import PreconditionError, ResourceLimitError
 from .graphs import VertexSplit, check_split_range
 from .model import Assignment, Constraint, Formula, Kind, Literal, satisfied_counter
-from .oracle import OracleResult, _BitCounts, _SatisfiedCounts
+from .oracle import OracleResult, _BitCounts
 
 # Type-class search nodes (``feasible_true_counts``) that one
 # ``residual_exact_max`` call may visit in all: about 30 times the largest
@@ -225,8 +224,7 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     """Exact optimum given a verified vertex cover of the incidence graph.
 
     The constraints outside the cover are counted for all 2^k assignments of
-    the k cover variables by the oracle's bitset kernel for k at most 16,
-    and chunk by chunk by its numpy kernel above; in both, index order is
+    the k cover variables by the oracle's bitset kernel, chunk by chunk, in
     ``product`` order.  The residual of the
     covered constraints depends only on the cover variables that occur in
     it, so it is built in one pass and solved once per assignment of those:
@@ -245,11 +243,8 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
     for c in outside:
         if not cover.variables.issuperset(c.variables):
             raise AssertionError("uncovered constraint with a variable outside the cover")
-    if _BitCounts.fits(len(cover_vars)):
-        fixed_counts = _BitCounts(outside, cover_vars).counts()
-    else:
-        kernel = _SatisfiedCounts(outside, cover_vars)
-        fixed_counts = chain.from_iterable(kernel.counts(high).tolist() for high in range(kernel.num_chunks))
+    kernel = _BitCounts(outside, cover_vars)
+    fixed_counts = chain.from_iterable(kernel.counts(high) for high in range(kernel.num_chunks))
     # Assignments are bitsets, bit x - 1 for variable x.  sigmas lists the
     # cover assignments in ``product`` order; a residual depends only on the
     # cover variables that occur in covered constraints, the key.

@@ -112,8 +112,9 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
     uncovered edge and branch on its two endpoints.  A greedy maximal
     matching of the uncovered edges (in vertex order, so its first edge is
     the branched one) bounds what any cover below a node still needs, and
-    the node is pruned when the cover so far plus that matching exceeds the
-    budget or the incumbent's size.  Both tests are strict and every minimal
+    the node is pruned, as soon as the matching grows that far, when the
+    cover so far plus the matching exceeds the budget or the incumbent's
+    size.  Both tests are strict and every minimal
     cover is the leaf of the branch that always picks its own endpoint, so
     every minimum cover within the budget is reached and ties between
     optimal witnesses go to the lexicographically smallest vertex set.
@@ -125,7 +126,9 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
     best: list = [None, None]  # size, witness
 
     def rec(chosen: int, size: int) -> None:
-        # greedy matching of the uncovered edges over the unchosen vertices
+        # greedy matching of the uncovered edges over the unchosen vertices,
+        # stopped, and the node pruned, once it takes the bound past the limit
+        limit = budget if best[0] is None else min(budget, best[0])
         free = touched & ~chosen
         matched = 0
         edge = None
@@ -138,6 +141,8 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
                 w = nbrs & -nbrs
                 free ^= w
                 matched += 1
+                if size + matched > limit:
+                    return
                 if edge is None:
                     edge = (u, w.bit_length() - 1)
         if edge is None:
@@ -151,9 +156,6 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
             cand = tuple(members)
             if best[0] is None or (size, cand) < (best[0], best[1]):
                 best[0], best[1] = size, cand
-            return
-        bound = size + matched
-        if bound > budget or (best[0] is not None and bound > best[0]):
             return
         for w in edge:
             rec(chosen | 1 << w, size + 1)

@@ -917,10 +917,10 @@ def test_importing_the_cli_loads_no_multiprocessing():
 
 def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
     # One fresh interpreter: importing the package, the commands that score
-    # no assignment and those that score at most 2^16 at once (the bitset
-    # kernel) leave numpy unloaded; the oracle on 17 variables loads it.
-    texts = (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT), ("six.mcsp", SIX_VARIABLE))
-    forest, hub, par, six = (write(tmp_path, n, t) for n, t in texts)
+    # no assignment and those that run the bitset kernel, the oracle on 17
+    # variables too, leave numpy unloaded; cw-as's batched scoring loads it.
+    texts = (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT), ("six.mcsp", SIX_VARIABLE), ("c.mcsp", CNF))
+    forest, hub, par, six, cnf = (write(tmp_path, n, t) for n, t in texts)
     wide = write(tmp_path, "wide.mcsp", "p mcsp 17 2\no 1 17 0\nt 2 -1 -17 0\n")
     out = str(tmp_path / "out.mcsp")
     commands = [
@@ -934,6 +934,7 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         ["solve", six, "--alg", "fvs-as", "--epsilon", "1/2"],
         ["solve", six, "--alg", "oracle"],
         ["solve", wide, "--alg", "oracle"],
+        ["solve", cnf, "--alg", "cw-as", "--epsilon", "1/4"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
@@ -948,7 +949,7 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, check=True)
     steps = json.loads(proc.stdout)
-    assert [(exit_code, loaded) for exit_code, loaded, _ in steps] == [(None, False)] + [(0, False)] * 9 + [(0, True)]
+    assert [(exit_code, loaded) for exit_code, loaded, _ in steps] == [(None, False)] + [(0, False)] * 10 + [(0, True)]
     assert "route=approx" in steps[2][2]
     assert "route=exact-small" in steps[8][2]
 

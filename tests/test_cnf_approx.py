@@ -26,7 +26,7 @@ from maxcsp import (
     select_sparse_variables,
 )
 
-from maxcsp import cnf_approx, oracle
+from maxcsp import cnf_approx
 from helpers import (
     best_of_trials,
     fraction_clause_split,
@@ -334,8 +334,8 @@ def test_batched_scoring_over_several_batches(monkeypatch):
 
 
 def test_winner_is_rechecked_against_count_satisfied(monkeypatch):
-    score = oracle._LinearForm.score
-    monkeypatch.setattr(oracle._LinearForm, "score", lambda self, x: score(self, x) + 1)
+    score = cnf_approx._LinearForm.score
+    monkeypatch.setattr(cnf_approx._LinearForm, "score", lambda self, x: score(self, x) + 1)
     with pytest.raises(AssertionError, match="count_satisfied"):
         approx_max_cnf(balanced_test_instance(), "0.4", seed=0, trials=4, window_exponent=1)
 

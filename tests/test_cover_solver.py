@@ -274,7 +274,7 @@ def test_residual_enumeration_reads_the_oracle_chunk_constant(monkeypatch):
 
 
 def test_first_max_satisfied_set_refuses_several_chunks(monkeypatch):
-    # the bitset kernel, which alone narrows the maximisers, takes one chunk
+    # the maximisers are narrowed only within one chunk
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
     oracle._BitCounts([or_clause(1, 2)], [1, 2]).first_max_satisfied_set()
     with pytest.raises(AssertionError, match="^3 variables exceed one 2-bit oracle chunk$"):
@@ -368,13 +368,13 @@ def test_cover_solver_outside_counts_over_several_chunks(monkeypatch):
     # With a 2-bit chunk the outside counts come from several kernel chunks.
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 2)
     chunks = []
-    counts = oracle._SatisfiedCounts.counts
+    counts = oracle._BitCounts.counts
 
     def spy(kernel, high):
         chunks.append(high)
         return counts(kernel, high)
 
-    monkeypatch.setattr(oracle._SatisfiedCounts, "counts", spy)
+    monkeypatch.setattr(oracle._BitCounts, "counts", spy)
     rng = random.Random(606)
     for _ in range(60):
         n, m = rng.randint(3, 7), rng.randint(1, 9)

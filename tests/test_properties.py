@@ -6,6 +6,7 @@ The examples are derandomized, so every run draws the same ones.
 
 import itertools
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -206,22 +207,28 @@ SIXTEEN = Formula(
 
 
 @KERNEL_PROFILE
-@given(kernel_formulas())
-@example(Formula(0, ()))
-@example(Formula(0, (Constraint(Kind.AND, ()), Constraint(Kind.PARITY, (), parity_rhs=1))))
-@example(SIXTEEN)
-def test_bitset_kernel_equals_the_product_enumeration(f):
+@given(kernel_formulas(), st.integers(2, 4))
+@example(Formula(0, ()), 2)
+@example(Formula(0, (Constraint(Kind.AND, ()), Constraint(Kind.PARITY, (), parity_rhs=1))), 3)
+@example(SIXTEEN, 4)
+def test_bitset_kernel_equals_the_product_enumeration(f, chunk_bits):
     # the value, the first maximiser in product order, and the maximisers'
-    # satisfied set that comes first in combinations order
+    # satisfied set that comes first in combinations order; then the counts
+    # and the oracle's answer in one chunk and in chunks of ``chunk_bits``
     assignments = [Assignment(bits) for bits in itertools.product((0, 1), repeat=f.num_vars)]
     sets = [[j for j, c in enumerate(f.constraints) if eval_constraint(c, a)] for a in assignments]
     value = max(map(len, sets))
     first = next(i for i, s in enumerate(sets) if len(s) == value)
     kernel = oracle._BitCounts(f.constraints, range(1, f.num_vars + 1))
-    assert (kernel.value, (kernel.maximisers & -kernel.maximisers).bit_length() - 1) == (value, first)
+    best, maximisers = kernel.best(0)
+    assert (best, (maximisers & -maximisers).bit_length() - 1) == (value, first)
     assert kernel.first_max_satisfied_set() == min(s for s in sets if len(s) == value)
-    res = max_csp_bruteforce(f)
-    assert (res.value, res.witness) == (value, assignments[first])
+    for bits in (oracle._CHUNK_BITS, chunk_bits):
+        with patch.object(oracle, "_CHUNK_BITS", bits):
+            kernel = oracle._BitCounts(f.constraints, range(1, f.num_vars + 1))
+            assert [n for high in range(kernel.num_chunks) for n in kernel.counts(high)] == list(map(len, sets))
+            res = max_csp_bruteforce(f)
+        assert (res.value, res.witness) == (value, assignments[first])
 
 
 @PROFILE

@@ -148,6 +148,19 @@ def test_mcc_threshold_fvs_witness():
         assert exact.size is not None and exact.size <= bound
 
 
+@pytest.mark.parametrize("k, n, minimum", [(2, 2, 6), (2, 3, 6), (3, 3, 15)])
+def test_complete_mcc_threshold_gadget_fvs_minimum_beside_the_shipped_bound(k, n, minimum):
+    # the shipped FVS has 2k + 4 C(k, 2) constraint vertices (8 at k = 2, 18
+    # at k = 3); the exact search finds the minimum within it and nothing
+    # one below, as tools/fvs_nodes.py prints
+    red = mcc_to_threshold(complete_mcc(k, n))
+    bound = 2 * k + 4 * (k * (k - 1) // 2)
+    assert len(red.fvs_constraints) == bound == {2: 8, 3: 18}[k]
+    g = build_incidence_graph(red.formula).graph
+    assert feedback_vertex_set(g, bound).size == minimum
+    assert feedback_vertex_set(g, minimum - 1).exceeded
+
+
 def test_mcc_cnf_nd_bound():
     for seed in range(5):
         g = random_mcc(2, 2, 0.6, seed)

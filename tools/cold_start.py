@@ -10,10 +10,11 @@ of each label (the corpus's warm-up requests) runs through
 ``numpy`` says whether numpy was loaded when the request returned,
 ``maxcsp_modules`` counts the package's modules then loaded, and ``modules``
 every module in ``sys.modules``.  Nothing is timed, so two runs of one
-checkout in one environment print the same lines.  The exact-residual
-requests score at most 2^16 assignments at once, all with the bitset
-kernel, so the script exits 1 when one of them has loaded numpy.  ``compare`` requests run
-with ``--workers 1``, so no process pool starts.  The script runs the
+checkout in one environment print the same lines.  Only cw-as's
+batched scoring loads numpy; the oracle and the cover solver count in
+Python ints at any number of variables.  No exact-residual request runs
+cw-as, so the script exits 1 when one of them has loaded numpy.
+``compare`` requests run with ``--workers 1``, so no process pool starts.  The script runs the
 ``src/`` and ``perfbench/`` of the directory it is started in:
 
     python3 tools/cold_start.py

@@ -1,22 +1,13 @@
-"""Width groups and compared cells of the oracle's satisfied-count kernels.
+"""Chunks and per-chunk rows of the oracle's satisfied-count kernels.
 
-One line per kernel.  A numpy kernel (``_SatisfiedCounts``, more than 16
-variables) prints
+One line per kernel (``oracle._BitCounts``):
 
-    <group> <name> n=<n> rows=<rows> b=<b> groups=<width:rows,...> cells=<cells> full=<full>
+    <group> <name> n=<n> rows=<rows> chunks=<chunks> per-chunk=<high>
 
-where ``rows`` counts the constraints that are not constant, ``b`` is the
-block's index bits, and ``groups`` lists each width group (the low index
-bits its rows are compared over, and how many rows it has), narrowest
-first, or ``-`` when there are none.  ``cells`` is the number of (row,
-position) comparisons the kernel makes over all 2^n positions, and
-``full`` is rows × 2^n, what comparing every row at every position would
-take.  A bitset kernel (``_BitCounts``, at most 16 variables) prints
-
-    <group> <name> n=<n> rows=<rows> bits
-
-where ``rows`` counts every constraint, each one 2^n-bit held set.  The
-kernels are
+where ``rows`` counts the kernel's constraints, ``chunks`` is the number of
+2^16-assignment chunks, and ``per-chunk`` counts the rows that read a
+variable numbering the chunks, which every chunk adds again to a copy of
+the base planes that the other rows are added to once.  The kernels are
 
 - ``oracle-compare``: ``max_csp_bruteforce`` on every instance of the
   ``compare`` shards of the oracle-compare workload of
@@ -26,11 +17,10 @@ kernels are
   exact-residual workload run, in request order, named by request label and
   instance.
 
-A ``total`` line per group sums the numpy kernels' ``cells`` and ``full``,
-counts them and those with more than one group, and counts the bitset
-kernels.  Nothing is timed, so two runs of one
-checkout print the same lines.  The script runs the ``src/`` and
-``perfbench/`` of the directory it is started in:
+A ``total`` line per group counts the kernels, those of several chunks,
+the chunks, and the rows added per chunk over all chunks.  Nothing is
+timed, so two runs of one checkout print the same lines.  The script runs
+the ``src/`` and ``perfbench/`` of the directory it is started in:
 
     python3 tools/oracle_cells.py
 """
@@ -55,19 +45,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return p.parse_args(argv)
 
 
-def layout(kernel) -> tuple[int, int, int, list[tuple[int, int]]]:
-    """(n, rows, b, [(width, rows) per group]) of a numpy kernel."""
-    groups = [(table.shape[1].bit_length() - 1, e - s) for s, _, e, table, _ in kernel._groups]
-    return len(kernel._shift), len(kernel._form.target), kernel._block_bits, groups
-
-
-def line(group: str, name: str, n: int, rows: int, b: int, groups: list[tuple[int, int]]) -> tuple[str, int, int]:
-    cells = sum(r << w for w, r in groups) << (n - b)
-    full = rows << n
-    widths = ",".join(f"{w}:{r}" for w, r in groups) or "-"
-    return f"{group} {name} n={n} rows={rows} b={b} groups={widths} cells={cells} full={full}", cells, full
-
-
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     root = Path.cwd()
@@ -79,20 +56,14 @@ def main(argv: list[str] | None = None) -> int:
 
     import corpus as corpus_mod
 
-    built = []  # a numpy kernel's layout, or a bitset kernel's (n, rows)
-    init = oracle._SatisfiedCounts.__init__
-    bits_init = oracle._BitCounts.__init__
+    built = []  # (n, rows, chunks, rows re-added per chunk) of each kernel
+    init = oracle._BitCounts.__init__
 
     def recording_init(kernel, constraints, variables):
         init(kernel, constraints, variables)
-        built.append(layout(kernel))
+        built.append((len(variables), len(constraints), kernel.num_chunks, len(kernel._high)))
 
-    def recording_bits_init(kernel, constraints, variables):
-        bits_init(kernel, constraints, variables)
-        built.append((len(variables), len(constraints)))
-
-    oracle._SatisfiedCounts.__init__ = recording_init
-    oracle._BitCounts.__init__ = recording_bits_init
+    oracle._BitCounts.__init__ = recording_init
     work_dir = tempfile.mkdtemp(prefix="oracle-cells-")
     try:
         kernels = []
@@ -110,22 +81,16 @@ def main(argv: list[str] | None = None) -> int:
                     cli.main(req.argv)
                 kernels.extend(("exact-residual", f"{req.label}:{req.instances[0]}", k) for k in built)
     finally:
-        oracle._SatisfiedCounts.__init__ = init
-        oracle._BitCounts.__init__ = bits_init
+        oracle._BitCounts.__init__ = init
         shutil.rmtree(work_dir, ignore_errors=True)
     for group in ("oracle-compare", "exact-residual"):
-        total = [0, 0, 0, 0, 0]  # cells, full, kernels, kernels of several groups, bitset kernels
-        for name, kernel in ((name, k) for g, name, k in kernels if g == group):
-            if len(kernel) == 2:
-                print(f"{group} {name} n={kernel[0]} rows={kernel[1]} bits")
-                total[4] += 1
-                continue
-            text, cells, full = line(group, name, *kernel)
-            print(text)
-            total = [total[0] + cells, total[1] + full, total[2] + 1, total[3] + (len(kernel[3]) > 1), total[4]]
+        total = [0, 0, 0, 0]  # kernels, kernels of several chunks, chunks, rows added per chunk
+        for name, (n, rows, chunks, high) in ((name, k) for g, name, k in kernels if g == group):
+            print(f"{group} {name} n={n} rows={rows} chunks={chunks} per-chunk={high}")
+            total = [total[0] + 1, total[1] + (chunks > 1), total[2] + chunks, total[3] + chunks * high]
         print(
-            f"total {group} cells={total[0]} full={total[1]} kernels={total[2]} "
-            f"several-groups={total[3]} bitset-kernels={total[4]}"
+            f"total {group} kernels={total[0]} several-chunks={total[1]} chunks={total[2]} "
+            f"per-chunk-rows={total[3]}"
         )
     return 0
 
