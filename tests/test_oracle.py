@@ -329,7 +329,7 @@ def assert_kernel_matches_scalar(f, variables):
         assert kernel.first_max_satisfied_set() == min(s for count, s in sets if count == best)
 
 
-@pytest.mark.parametrize("chunk_bits", [16, 3, 1])
+@pytest.mark.parametrize("chunk_bits", [16, 3, 2, 1])
 def test_kernel_chunks_match_scalar_evaluation(monkeypatch, chunk_bits):
     # rows over the high variables only, the low ones only, or both, with
     # the variables in natural and in shuffled order
@@ -345,7 +345,7 @@ def test_kernel_chunks_match_scalar_evaluation(monkeypatch, chunk_bits):
             assert_matches_naive(f)
 
 
-@pytest.mark.parametrize("chunk_bits", [16, 3, 1])
+@pytest.mark.parametrize("chunk_bits", [16, 3, 2, 1])
 def test_kernel_counts_beyond_255_rows(monkeypatch, chunk_bits):
     # 500 rows: counts above 255 take a ninth bit plane
     monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
