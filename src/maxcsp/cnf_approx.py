@@ -6,8 +6,9 @@ window, then either solve the dominant short side exactly, satisfy a
 dominant long side with random assignments, or, in the balanced case, pick a
 set of variables that occur almost exclusively in long clauses, solve the
 untouched short clauses exactly and randomize the rest.  Candidates are
-always scored against the original formula and the best of a fixed number of
-trials is returned, so fixed seeds give identical reports.
+always scored against the original formula, a batch of trials at a time on
+the oracle's bit planes, and the best of a fixed number of trials is
+returned, so fixed seeds give identical reports.
 
 The exact step is pluggable; the default backend is the brute-force oracle
 applied to the relevant subformula projected onto its occurring variables.
@@ -19,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ContractViolationError,
@@ -29,16 +30,13 @@ from .errors import (
     ResourceLimitError,
 )
 from .model import Assignment, Constraint, Formula, Kind, Literal, count_satisfied
-from .oracle import DEFAULT_VAR_LIMIT, OracleResult, max_csp_bruteforce
+from .oracle import DEFAULT_VAR_LIMIT, OracleResult, _add, _top, max_csp_bruteforce
 from .report import parse_fraction
-
-if TYPE_CHECKING:  # numpy is imported where it is used
-    import numpy as np
 
 DEFAULT_TRIALS = 32
 DEFAULT_WINDOW_EXPONENT = 4
-# entries a scoring batch may hold: candidates times (1 + variables + literals + clauses)
-_BATCH_ENTRIES = 1 << 20
+# drawn row bytes a scoring batch may hold: trials times variables
+_BATCH_BYTES = 1 << 20
 
 ExactBackend = Callable[[Formula], OracleResult]
 
@@ -231,51 +229,51 @@ def _project_and_solve(
     return {v: result.witness.value(rename[v]) for v in variables}
 
 
-class _LinearForm:
-    """The clauses of ``constraints`` as linear forms over the 0/1 values of
-    the variables 1..n: a clause's true literals number base + sum(+-x_v),
-    base counting its negated literals, and it holds when that is at least
-    1.  Clause r's literals are ``cols[starts[r]:starts[r] + arity]``,
-    variable positions, with ``neg`` 1 for a negated literal; an empty
-    clause never holds and has no row.
-    """
-
-    def __init__(self, constraints: Sequence[Constraint]):
-        import numpy as np
-        rows = [c.literals for c in constraints if c.literals]
-        self.cols = np.array([lit.var - 1 for lits in rows for lit in lits], dtype=np.intp)
-        self.neg = np.array([not lit.positive for lits in rows for lit in lits], dtype=np.uint8)[:, None]
-        arity = np.array([len(lits) for lits in rows], dtype=np.intp)
-        self.starts = np.cumsum(arity) - arity
-
-    def score(self, x: np.ndarray) -> np.ndarray:
-        """Satisfied clauses at each column of ``x``: 0/1 values, one row
-        per variable."""
-        import numpy as np
-        true = np.add.reduceat(x[self.cols] ^ self.neg, self.starts, axis=0, dtype=np.int32)
-        return np.add.reduce(true > 0, axis=0, dtype=np.int64)
+_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
 
 
-def _draw_candidates(
-    candidates: Sequence[tuple[str, dict[int, int]]], num_vars: int, seed: int, trials: range
-) -> np.ndarray:
-    """The candidates of ``trials``, one row each in (trial, label) order:
-    the label's base values, and for the other variables, in ascending
-    order, one ``getrandbits(1)`` each of ``random.Random(f"{seed}:{trial}:{label}")``.
+def _columns(label: str, base: dict[int, int], num_vars: int, seed: int, trials: range) -> list[int]:
+    """Variable v's column, at index v - 1: bit t is its value in the
+    ``label`` candidate of trial ``trials[t]``, the base value or, for the k
+    free variables in ascending order, one ``getrandbits(1)`` each of
+    ``random.Random(f"{seed}:{trial}:{label}")``: the top bit of byte 3 of
+    each little-endian word of ``randbytes(4 * k)``.  With the k-byte rows
+    joined first trial last, free variable i's bits are ``table[i::k]``."""
+    full = (1 << len(trials)) - 1
+    columns = [full if base.get(v) else 0 for v in range(1, num_vars + 1)]
+    free = [v for v in range(1, num_vars + 1) if v not in base]
+    k = len(free)
+    table = b"".join(
+        random.Random(f"{seed}:{trial}:{label}").randbytes(4 * k)[3::4] for trial in reversed(trials)
+    ).translate(_TOP_BIT)
+    for i, v in enumerate(free):
+        columns[v - 1] = int(table[i::k], 2)
+    return columns
 
-    ``getrandbits(1)`` is the top bit of one 32-bit generator output, and
-    ``randbytes(4 * k)`` lays k outputs out as little-endian words in order,
-    so each stream is drawn in one call and read as the words' top bits."""
-    import numpy as np
-    x = np.empty((len(trials), len(candidates), num_vars), dtype=np.uint8)
-    for i, (label, base) in enumerate(candidates):
-        free = [v - 1 for v in range(1, num_vars + 1) if v not in base]
-        x[:, i] = [base.get(v, 0) for v in range(1, num_vars + 1)]
-        words = b"".join(
-            random.Random(f"{seed}:{trial}:{label}").randbytes(4 * len(free)) for trial in trials
-        )
-        x[:, i, free] = (np.frombuffer(words, "<u4") >> 31).reshape(len(trials), len(free))
-    return x.reshape(len(trials) * len(candidates), num_vars)
+
+def _best_in_batch(
+    f: Formula, candidates: Sequence[tuple[str, dict[int, int]]], seed: int, trials: range
+) -> tuple[int, Assignment]:
+    """The satisfied clauses and the assignment of the first best candidate
+    of ``trials`` in (trial, label) order.  A clause holds on the OR of its
+    literals' columns; a label's first best trial is the lowest bit of the
+    top set of the planes those sets add up to."""
+    full = (1 << len(trials)) - 1
+    best = None
+    for label, base in candidates:
+        columns = _columns(label, base, f.num_vars, seed, trials)
+        planes: list[int] = []
+        for c in f.constraints:
+            held = 0
+            for x, positive in c.literals:
+                held |= columns[x - 1] if positive else columns[x - 1] ^ full
+            _add(planes, held)
+        value, maximisers = _top(planes, full)
+        t = (maximisers & -maximisers).bit_length() - 1
+        if best is None or value > best[0] or (value == best[0] and t < best[1]):
+            best = value, t, columns
+    value, t, columns = best
+    return value, Assignment(tuple((column >> t) & 1 for column in columns))
 
 
 def expected_unsatisfied(f: Formula, clause_indices: Iterable[int] | None = None) -> Fraction:
@@ -307,7 +305,6 @@ def approx_max_cnf(
     step, whichever backend solves it (the oracle when ``exact_backend`` is
     None).
     """
-    import numpy as np
     try:
         _require_cnf(f)
     except ContractViolationError as exc:
@@ -371,18 +368,14 @@ def approx_max_cnf(
             route = "unbalanced-long"
             candidates.append(("main", {}))
 
-    # Score the candidates in (trial, label) order, a bounded batch of
-    # trials at a time; the first maximum wins.
-    form = _LinearForm(f.constraints)
-    batch = max(1, _BATCH_ENTRIES // (len(candidates) * (1 + f.num_vars + f.occ + m)))
+    # Score the candidates a bounded batch of trials at a time; the first
+    # maximum in (trial, label) order wins.
+    batch = max(1, _BATCH_BYTES // max(1, f.num_vars))
     best_value = -1
     for first in range(0, trials, batch):
-        x = _draw_candidates(candidates, f.num_vars, seed, range(first, min(first + batch, trials)))
-        values = form.score(x.T)
-        i = int(np.argmax(values))
-        if values[i] > best_value:
-            best_value, best_bits = int(values[i]), x[i]
-    best_witness = Assignment(tuple(best_bits.tolist()))
+        value, witness = _best_in_batch(f, candidates, seed, range(first, min(first + batch, trials)))
+        if value > best_value:
+            best_value, best_witness = value, witness
     if count_satisfied(f, best_witness) != best_value:
         raise AssertionError("batched score of the winning candidate differs from count_satisfied")
     return OracleResult(best_value, best_witness, route)

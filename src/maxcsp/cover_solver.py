@@ -11,8 +11,7 @@ has those variables' assignments enumerated instead of its smaller subsets
 (see ``residual_exact_max``, which runs under a node budget).
 
 Both enumerations, the cover assignments' counts and a small residual's,
-run in the oracle's bitset kernel (``_BitCounts``, Python ints), so the
-solver never loads numpy.
+run in the oracle's bitset kernel (``_BitCounts``, Python ints).
 """
 
 from __future__ import annotations

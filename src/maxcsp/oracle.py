@@ -85,6 +85,19 @@ def _add(planes: list[int], carry: int) -> None:
         planes.append(carry)
 
 
+def _top(planes: list[int], full: int) -> tuple[int, int]:
+    """The largest count in ``planes`` over the indices in ``full``, and the
+    set of those indices reaching it, scanning the planes from the top."""
+    value = 0
+    maximisers = full
+    for p in reversed(range(len(planes))):
+        higher = maximisers & planes[p]
+        if higher:
+            maximisers = higher
+            value |= 1 << p
+    return value, maximisers
+
+
 class _BitCounts:
     """Satisfied counts of ``constraints`` over the 2^n assignments of the n
     ``variables``, which hold every variable of the constraints.
@@ -192,15 +205,7 @@ class _BitCounts:
     def best(self, high: int) -> tuple[int, int]:
         """The largest count in chunk ``high``, and the set of its indices
         reaching it."""
-        value = 0
-        maximisers = self._full
-        planes = self.planes(high)
-        for p in reversed(range(len(planes))):
-            higher = maximisers & planes[p]
-            if higher:
-                maximisers = higher
-                value |= 1 << p
-        return value, maximisers
+        return _top(self.planes(high), self._full)
 
     def counts(self, high: int) -> list[int]:
         """Satisfied count of each assignment of chunk ``high``, in index order."""

@@ -122,7 +122,8 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
     masks = g.masks
-    touched = sum(1 << v for v, m in enumerate(masks) if m)
+    # the vertices with an edge, in one linear step
+    touched = int("0" + "".join("1" if m else "0" for m in reversed(masks)), 2)
     best: list = [None, None]  # size, witness
 
     def rec(chosen: int, size: int) -> None:

@@ -915,10 +915,10 @@ def test_importing_the_cli_loads_no_multiprocessing():
     assert proc.stdout == "[]\n"
 
 
-def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
-    # One fresh interpreter: importing the package, the commands that score
-    # no assignment and those that run the bitset kernel, the oracle on 17
-    # variables too, leave numpy unloaded; cw-as's batched scoring loads it.
+def test_no_command_loads_numpy(tmp_path):
+    # One fresh interpreter in which importing numpy fails: importing the
+    # package and every command, the oracle on 17 variables and cw-as's
+    # batched scoring included, run to exit 0 without it.
     texts = (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT), ("six.mcsp", SIX_VARIABLE), ("c.mcsp", CNF))
     forest, hub, par, six, cnf = (write(tmp_path, n, t) for n, t in texts)
     wide = write(tmp_path, "wide.mcsp", "p mcsp 17 2\no 1 17 0\nt 2 -1 -17 0\n")
@@ -935,23 +935,27 @@ def test_numpy_loads_only_when_a_kernel_runs(tmp_path):
         ["solve", six, "--alg", "oracle"],
         ["solve", wide, "--alg", "oracle"],
         ["solve", cnf, "--alg", "cw-as", "--epsilon", "1/4"],
+        ["compare", "--algs", "oracle,cw-as", "--epsilon", "1/4", "--dir", str(tmp_path), "--workers", "1", "-o", "-"],
     ]
     code = (
         "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
         "import maxcsp\n"
-        "steps = [(None, 'numpy' in sys.modules, '')]\n"
         "from maxcsp.cli import main\n"
+        "steps = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
         "        exit_code = main(argv)\n"
-        "    steps.append((exit_code, 'numpy' in sys.modules, buf.getvalue()))\n"
+        "    steps.append((exit_code, buf.getvalue()))\n"
         "print(json.dumps(steps))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, check=True)
     steps = json.loads(proc.stdout)
-    assert [(exit_code, loaded) for exit_code, loaded, _ in steps] == [(None, False)] + [(0, False)] * 10 + [(0, True)]
-    assert "route=approx" in steps[2][2]
-    assert "route=exact-small" in steps[8][2]
+    assert proc.stderr == ""
+    assert [exit_code for exit_code, _ in steps] == [0] * len(commands)
+    assert "route=approx" in steps[1][1]
+    assert "route=exact-small" in steps[7][1]
+    assert "c.mcsp,cw-as,1/4," in steps[11][1]
 
 
 def test_a_file_declaring_too_many_variables_exits_3_and_fails_only_its_rows(tmp_path):

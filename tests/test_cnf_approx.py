@@ -301,13 +301,13 @@ CW_FAMILIES = {
 def spy_candidates(monkeypatch):
     """Record the candidates of each scoring batch of approx_max_cnf."""
     seen = []
-    draw = cnf_approx._draw_candidates
+    score = cnf_approx._best_in_batch
 
-    def spy(candidates, *args):
+    def spy(f, candidates, *args):
         seen.append(candidates)
-        return draw(candidates, *args)
+        return score(f, candidates, *args)
 
-    monkeypatch.setattr(cnf_approx, "_draw_candidates", spy)
+    monkeypatch.setattr(cnf_approx, "_best_in_batch", spy)
     return seen
 
 
@@ -327,15 +327,39 @@ def test_batched_scoring_matches_per_trial_loop(monkeypatch, route, trials):
 def test_batched_scoring_over_several_batches(monkeypatch):
     seen = spy_candidates(monkeypatch)
     f = balanced_test_instance(random.Random(5))
+    # 5000 trials of 20 variables fit in one batch of the default size, so
+    # batches of 1700 trials stand in for a larger instance
+    monkeypatch.setattr(cnf_approx, "_BATCH_BYTES", 1700 * f.num_vars)
     report = approx_max_cnf(f, "0.4", seed=2, trials=5000, window_exponent=1)
     assert report.route == "balanced"
     assert len(seen) >= 2
     assert (report.value, report.witness) == best_of_trials(f, seen[0], 2, 5000)
 
 
+def test_batch_ties_go_to_the_earlier_trial_before_the_earlier_label():
+    # small formulas tie often, so a later label often first reaches the
+    # best value at an earlier trial than the labels before it
+    rng = random.Random(8)
+    candidates = [("a", {1: 0}), ("b", {}), ("c", {2: 1})]
+    trials = range(8)
+    later_label_wins = 0
+    for seed in range(40):
+        f = random_cnf(rng, 6, 4, [1, 2])
+        expected = best_of_trials(f, candidates, seed, len(trials))
+        assert cnf_approx._best_in_batch(f, candidates, seed, trials) == expected
+        first_label = cnf_approx._best_in_batch(f, candidates[:1], seed, trials)
+        later_label_wins += first_label[0] == expected[0] and first_label != expected
+    assert later_label_wins >= 5
+
+
 def test_winner_is_rechecked_against_count_satisfied(monkeypatch):
-    score = cnf_approx._LinearForm.score
-    monkeypatch.setattr(cnf_approx._LinearForm, "score", lambda self, x: score(self, x) + 1)
+    top = cnf_approx._top
+
+    def inflated(planes, full):
+        value, maximisers = top(planes, full)
+        return value + 1, maximisers
+
+    monkeypatch.setattr(cnf_approx, "_top", inflated)
     with pytest.raises(AssertionError, match="count_satisfied"):
         approx_max_cnf(balanced_test_instance(), "0.4", seed=0, trials=4, window_exponent=1)
 
@@ -431,16 +455,14 @@ def test_integer_selection_matches_fraction_reference():
 @pytest.mark.parametrize("free_count", [0, 1, 31, 32, 33, 200])
 def test_candidate_draw_equals_one_getrandbits_per_free_variable(free_count):
     num_vars = free_count + 3
-    labels = ["a", "b:7", ""]
-    candidates = [(label, {free_count + 1: 1, free_count + 2: 0, free_count + 3: 1}) for label in labels]
+    base = {free_count + 1: 1, free_count + 2: 0, free_count + 3: 1}
     for seed in (0, 1, 12345):
         trials = range(seed % 3, seed % 3 + 4)
-        x = cnf_approx._draw_candidates(candidates, num_vars, seed, trials)
-        row = 0
-        for trial in trials:
-            for label, base in candidates:
+        for label in ("a", "b:7", ""):
+            columns = cnf_approx._columns(label, base, num_vars, seed, trials)
+            assert len(columns) == num_vars
+            assert all(0 <= column < 1 << len(trials) for column in columns)
+            for t, trial in enumerate(trials):
                 rng = random.Random(f"{seed}:{trial}:{label}")
                 expected = [base[v] if v in base else rng.getrandbits(1) for v in range(1, num_vars + 1)]
-                assert x[row].tolist() == expected, (seed, trial, label)
-                row += 1
-        assert row == len(x)
+                assert [(column >> t) & 1 for column in columns] == expected, (seed, trial, label)

@@ -10,10 +10,9 @@ of each label (the corpus's warm-up requests) runs through
 ``numpy`` says whether numpy was loaded when the request returned,
 ``maxcsp_modules`` counts the package's modules then loaded, and ``modules``
 every module in ``sys.modules``.  Nothing is timed, so two runs of one
-checkout in one environment print the same lines.  Only cw-as's
-batched scoring loads numpy; the oracle and the cover solver count in
-Python ints at any number of variables.  No exact-residual request runs
-cw-as, so the script exits 1 when one of them has loaded numpy.
+checkout in one environment print the same lines.  The package counts in
+Python ints everywhere and needs no third-party module, so the script
+exits 1 when any request has loaded numpy.
 ``compare`` requests run with ``--workers 1``, so no process pool starts.  The script runs the
 ``src/`` and ``perfbench/`` of the directory it is started in:
 
@@ -31,10 +30,8 @@ import tempfile
 from pathlib import Path
 
 # the warm-up requests are taken before the corpus's seeded shuffle, so which
-# commands run, and which of them load numpy, do not depend on the seed
+# commands run does not depend on the seed
 SEED = 1
-# workloads whose requests must leave numpy unloaded
-NUMPY_FREE = ("exact-residual",)
 
 # run in the new interpreter: one request, then what it loaded
 CHILD = """\
@@ -77,7 +74,7 @@ def main() -> int:
                     f"maxcsp_modules={ours} modules={modules}",
                     flush=True,
                 )
-                if numpy and workload in NUMPY_FREE:
+                if numpy:
                     print(f"error: {workload} {req.label} loaded numpy", file=sys.stderr)
                     status = 1
         finally:
