@@ -268,7 +268,7 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
                 need = max(c.effective_threshold() - sum(lit in true_lits for lit in c.literals), 0)
                 residual.append(Constraint(Kind.THRESHOLD, off_cover, threshold=need))
             sub = residual_exact_max(Formula(f.num_vars, tuple(residual)))
-            rest = sum(b << i for i, b in enumerate(sub.witness.bits)) & ~cover_mask
+            rest = int(sub.witness.bitstring()[::-1] or "0", 2) & ~cover_mask
             solved = residuals[key] = (sub.value, rest)
         residual_total, rest = solved
 
@@ -280,4 +280,5 @@ def solve_via_vertex_cover(f: Formula, cover: VertexSplit) -> OracleResult:
             best = rest | sigma
     if best_value < 0:
         raise AssertionError("no cover assignment scored")
-    return OracleResult(best_value, Assignment(tuple(best >> i & 1 for i in range(f.num_vars))))
+    # bit n above best makes bin() print all n bits, none when n = 0
+    return OracleResult(best_value, Assignment(tuple(map(int, bin(best | 1 << f.num_vars)[:2:-1]))))

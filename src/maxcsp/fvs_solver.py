@@ -55,7 +55,7 @@ def solve_with_fvs_search(f: Formula, epsilon, max_fvs: int) -> OracleResult:
     ``ResourceLimitError`` before epsilon or the constraint kinds are checked.
     """
     inc = build_incidence_graph(f)
-    lower, greedy = fvs_bounds(inc.graph)
+    lower, greedy = fvs_bounds(inc.graph, max_fvs)
     try:
         eps = parse_fraction(epsilon)
     except MalformedInstanceError:

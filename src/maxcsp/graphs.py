@@ -17,7 +17,7 @@ class Graph:
     repeated edges and both orientations of an edge collapse to one.
     """
 
-    __slots__ = ("num_vertices", "adj", "_masks")
+    __slots__ = ("num_vertices", "adj")
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()):
         if num_vertices < 0:
@@ -32,15 +32,6 @@ class Graph:
             adj[v].add(u)
         self.num_vertices = num_vertices
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        self._masks: tuple[int, ...] | None = None
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """Per vertex v, the bitset of its neighbours (bit w is set when vw
-        is an edge); built on first use, since most graphs never need it."""
-        if self._masks is None:
-            self._masks = tuple(sum(1 << w for w in s) for s in self.adj)
-        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -244,8 +244,8 @@ def satisfied_counter(f: Formula) -> Callable[[int], int]:
     geq: list[tuple[int, int, int]] = []  # pos, neg, threshold less |neg|
     odd: list[tuple[int, int]] = []  # pos | neg, the parity that holds
     for c in f.constraints:
-        pos = sum(1 << (var - 1) for var, positive in c.literals if positive)
-        neg = sum(1 << (var - 1) for var, positive in c.literals if not positive)
+        pos = _var_bits([var for var, positive in c.literals if positive])
+        neg = _var_bits([var for var, positive in c.literals if not positive])
         if c.kind is _PARITY:
             odd.append((pos | neg, c.parity_rhs ^ (neg.bit_count() & 1)))  # type: ignore[operator]
         else:
@@ -257,6 +257,14 @@ def satisfied_counter(f: Formula) -> Callable[[int], int]:
         )
 
     return count
+
+
+def _var_bits(variables: list[int]) -> int:
+    # bit var − 1 per variable, in time linear in the width, as a sum of shifts is not
+    buf = bytearray((max(variables, default=0) + 7) >> 3)
+    for var in variables:
+        buf[(var - 1) >> 3] |= 1 << ((var - 1) & 7)
+    return int.from_bytes(buf, "little")
 
 
 def normalize_parity(c: Constraint) -> Constraint:

@@ -3,14 +3,16 @@
 Neighborhood diversity is exact and polynomial.  Vertex cover and feedback
 vertex set are exact but exponential, so both run under a budget and report
 when the budget is exceeded instead of searching unboundedly.  The twin
-classes and the vertex-cover search read the graph's adjacency bitsets
-(``Graph.masks``); the FVS search keeps a 2-core per node, branches
+classes and the vertex-cover search read the sorted adjacency lists
+(``Graph.adj``), so the twin lookup costs O(V + E) in all and a cover search
+node O(V + E); the FVS search keeps a 2-core per node, branches
 once per run of core-degree-2 vertices and cuts a node tied with the
 incumbent when no completion of it is lexicographically smaller.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, MalformedInstanceError
@@ -66,13 +68,13 @@ def neighborhood_diversity(g: Graph) -> NdPartition:
     adjacent twins their closed one N[v], so one lookup of each per vertex
     finds its class; classes come in order of their smallest vertex.
     """
-    by_open: dict[int, list[int]] = {}
-    by_closed: dict[int, list[int]] = {}
+    by_open: dict[tuple[int, ...], list[int]] = {}
+    by_closed: dict[tuple[int, ...], list[int]] = {}
     classes: list[list[int]] = []
-    for u, nbrs in enumerate(g.masks):
-        # an isolated vertex has no adjacent twin, and its N[u] would take u
-        # bits, so it is looked up by N(u) alone
-        closed = nbrs | 1 << u if nbrs else None
+    for u, nbrs in enumerate(g.adj):
+        # an isolated vertex has no adjacent twin, so its N[u] is not kept
+        i = bisect(nbrs, u)
+        closed = nbrs[:i] + (u,) + nbrs[i:]
         cls = by_open.get(nbrs) or by_closed.get(closed)
         if cls is None:
             cls = []
@@ -81,9 +83,7 @@ def neighborhood_diversity(g: Graph) -> NdPartition:
         by_open[nbrs] = cls
         if nbrs:
             by_closed[closed] = cls
-    kinds = tuple(
-        "clique" if len(cls) > 1 and g.masks[cls[0]] >> cls[1] & 1 else "independent" for cls in classes
-    )
+    kinds = tuple("clique" if len(cls) > 1 and cls[1] in g.adj[cls[0]] else "independent" for cls in classes)
     return NdPartition(tuple(map(tuple, classes)), kinds)
 
 
@@ -108,8 +108,8 @@ def is_feedback_vertex_set(g: Graph, vertices) -> bool:
 def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedResult:
     """Exact minimum vertex cover if its size is within the budget.
 
-    Bounded branching on bitsets: pick the lexicographically first
-    uncovered edge and branch on its two endpoints.  A greedy maximal
+    Bounded branching on the adjacency lists: pick the lexicographically
+    first uncovered edge and branch on its two endpoints.  A greedy maximal
     matching of the uncovered edges (in vertex order, so its first edge is
     the branched one) bounds what any cover below a node still needs, and
     the node is pruned, as soon as the matching grows that far, when the
@@ -118,50 +118,47 @@ def vertex_cover_number(g: Graph, budget: int = DEFAULT_VC_BUDGET) -> BudgetedRe
     cover is the leaf of the branch that always picks its own endpoint, so
     every minimum cover within the budget is reached and ties between
     optimal witnesses go to the lexicographically smallest vertex set.
+    One node costs O(V + E).
     """
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
-    masks = g.masks
-    # the vertices with an edge, in one linear step
-    touched = int("0" + "".join("1" if m else "0" for m in reversed(masks)), 2)
+    # Each vertex with its neighbours above it: a neighbour below u is chosen or
+    # matched by u's turn (had it been free, it would have matched), so the scan
+    # looks only up, and only chosen vertices and partners are marked used.
+    later = [(u, nbrs[bisect(nbrs, u) :]) for u, nbrs in enumerate(g.adj) if nbrs and nbrs[-1] > u]
     best: list = [None, None]  # size, witness
 
-    def rec(chosen: int, size: int) -> None:
+    def rec(chosen: tuple[int, ...]) -> None:
         # greedy matching of the uncovered edges over the unchosen vertices,
         # stopped, and the node pruned, once it takes the bound past the limit
         limit = budget if best[0] is None else min(budget, best[0])
-        free = touched & ~chosen
-        matched = 0
+        used = set(chosen)
+        bound = len(chosen)  # chosen plus the matching so far
         edge = None
-        while free:
-            low = free & -free
-            u = low.bit_length() - 1
-            nbrs = masks[u] & free
-            free ^= low
-            if nbrs:
-                w = nbrs & -nbrs
-                free ^= w
-                matched += 1
-                if size + matched > limit:
-                    return
-                if edge is None:
-                    edge = (u, w.bit_length() - 1)
+        for u, nbrs in later:
+            if u in used:
+                continue
+            for w in nbrs:
+                if w not in used:
+                    break
+            else:
+                # no free neighbour above u, so none at all: u stays unmatched
+                continue
+            used.add(w)
+            bound += 1
+            if bound > limit:
+                return
+            if edge is None:
+                edge = (u, w)
         if edge is None:
-            # the set bits of chosen, lowest first: one step per chosen vertex,
-            # not one shift of chosen per vertex of the graph
-            members, rest = [], chosen
-            while rest:
-                low = rest & -rest
-                members.append(low.bit_length() - 1)
-                rest ^= low
-            cand = tuple(members)
-            if best[0] is None or (size, cand) < (best[0], best[1]):
-                best[0], best[1] = size, cand
+            cand = tuple(sorted(chosen))
+            if best[0] is None or (len(cand), cand) < (best[0], best[1]):
+                best[0], best[1] = len(cand), cand
             return
         for w in edge:
-            rec(chosen | 1 << w, size + 1)
+            rec(chosen + (w,))
 
-    rec(0, 0)
+    rec(())
     return BudgetedResult(best[0], best[1], budget)
 
 
@@ -202,7 +199,7 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
     if budget < 0:
         raise MalformedInstanceError("budget must be non-negative")
     root = TwoCore(g)
-    greedy = _greedy_fvs(root)
+    greedy = _greedy_fvs(root, budget)
     best: list = [len(greedy), greedy] if len(greedy) <= budget else [None, None]
     seen: set[frozenset[int]] = set()
 
@@ -236,10 +233,11 @@ def feedback_vertex_set(g: Graph, budget: int = DEFAULT_FVS_BUDGET) -> BudgetedR
     return BudgetedResult(best[0], best[1], budget)
 
 
-def fvs_bounds(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """A lower bound on the minimum FVS of ``g`` and a greedy FVS (sorted)."""
+def fvs_bounds(g: Graph, limit: int) -> tuple[int, tuple[int, ...]]:
+    """A lower bound on the minimum FVS of ``g`` and a greedy FVS (sorted),
+    cut to ``limit + 1`` vertices when it has more than ``limit``."""
     root = TwoCore(g)
-    return _cycle_rank_bound(root), _greedy_fvs(root)
+    return _cycle_rank_bound(root), _greedy_fvs(root, limit)
 
 
 def _cycle_rank_bound(core: TwoCore) -> int:
@@ -258,12 +256,13 @@ def _cycle_rank_bound(core: TwoCore) -> int:
     return count
 
 
-def _greedy_fvs(core: TwoCore) -> tuple[int, ...]:
+def _greedy_fvs(core: TwoCore, limit: int) -> tuple[int, ...]:
     # Delete the live vertex of highest core degree (smallest index on
-    # ties) until the core is empty.
+    # ties) until the core is empty, or until limit + 1 picks show that
+    # the greedy set is above the limit.
     chosen = []
     live = [v for v in range(core.graph.num_vertices) if v not in core.dead]
-    while live:
+    while live and len(chosen) <= limit:
         v = max(live, key=core.degree.__getitem__)  # the first of the largest
         chosen.append(v)
         core = core.without(v)

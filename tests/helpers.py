@@ -263,7 +263,7 @@ def reference_fvs(g: Graph, budget: int) -> tuple[int, ...] | None:
     from maxcsp.structure import _cycle_rank_bound, _greedy_fvs
 
     root = TwoCore(g)
-    greedy = _greedy_fvs(root)
+    greedy = _greedy_fvs(root, g.num_vertices)
     best: list = [greedy] if len(greedy) <= budget else [None]
     seen: set[frozenset[int]] = set()
 

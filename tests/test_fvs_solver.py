@@ -216,7 +216,7 @@ def test_fvs_as_output_is_the_same_without_the_shortcut(tmp_path, capsys, monkey
             with monkeypatch.context() as patch:
                 if not shortcut:
                     # a lower bound of 0 settles nothing on a non-empty instance
-                    patch.setattr(fvs_solver, "fvs_bounds", lambda g: (0, structure.fvs_bounds(g)[1]))
+                    patch.setattr(fvs_solver, "fvs_bounds", lambda g, limit: (0, structure.fvs_bounds(g, limit)[1]))
                 calls.clear()
                 for eps in ("1/4", "1/2", "9/10"):
                     code = main(["solve", "--alg", "fvs-as", "--epsilon", eps, str(path), "--json", "--with-oracle"])

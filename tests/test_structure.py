@@ -10,6 +10,7 @@ from maxcsp import (
     MalformedInstanceError,
     MccGraph,
     analyze_graph,
+    at_least,
     build_incidence_graph,
     complete_mcc,
     feedback_vertex_set,
@@ -129,6 +130,76 @@ def test_vc_witness_holds_high_numbered_constraint_vertices():
     n = 1 << 12
     res = vertex_cover_number(build_incidence_graph(Formula(n, (or_clause(1, 2),))).graph, 8)
     assert (res.size, res.witness) == (1, (n,))
+
+
+def _traced(fn):
+    # fn() and the peak of the memory it allocated
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nd_and_vc_memory_grows_linearly_on_path_incidence_graphs():
+    # Per-vertex neighbour bitsets as wide as the graph made this peak grow
+    # about 12x from 2048 to 8192 variables; adjacency lists grow it 4x.
+    peaks = []
+    for n in (2048, 8192):
+        g = build_incidence_graph(Formula(n, tuple(or_clause(i, i + 1) for i in range(1, n)))).graph
+        (nd, vc), peak = _traced(lambda: (neighborhood_diversity(g), vertex_cover_number(g)))
+        assert nd.k == 2 * n - 1 and vc.exceeded
+        peaks.append(peak)
+    assert peaks[1] <= 5 * peaks[0], peaks
+
+
+def test_vc_of_four_constraints_on_every_variable_is_the_constraint_vertices():
+    n = 512
+    cons = tuple(at_least(j + 1, *(v if (v + j) % 3 else -v for v in range(1, n + 1))) for j in range(4))
+    res = vertex_cover_number(build_incidence_graph(Formula(n, cons)).graph)
+    assert (res.size, res.witness) == (4, (n, n + 1, n + 2, n + 3))
+
+
+def _vc_nodes(g: Graph, budget: int) -> int:
+    # the search nodes of one vertex_cover_number call: the calls of its inner rec
+    import sys
+
+    from maxcsp import structure
+
+    nodes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "rec" and frame.f_code.co_filename == structure.__file__:
+            nodes.append(1)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        vertex_cover_number(g, budget)
+    finally:
+        sys.setprofile(previous)
+    return len(nodes)
+
+
+def test_vc_search_nodes_are_pinned():
+    # Any maximal matching is a valid bound and any uncovered edge a valid
+    # branch, so the covers alone do not pin the matching's smallest partner
+    # or the first-edge rule: partnering the largest free neighbour makes
+    # 65, 9 and 39 nodes here.
+    assert _vc_nodes(petersen_graph(), 6) == 59
+    assert _vc_nodes(petersen_graph(), 5) == 11
+    assert _vc_nodes(build_incidence_graph(mcc_to_threshold(complete_mcc(2, 2)).formula).graph, 16) == 27
+
+
+def test_fvs_above_its_budget_stops_the_greedy_incumbent(monkeypatch):
+    # the greedy FVS of this graph takes hundreds of picks; past the budget
+    # its 13th shows it does not fit, and the root's bound is above 12
+    calls = _count_calls(monkeypatch, "without")
+    g = build_incidence_graph(random_formula(2048, 2048, {"OR": 1}, (3, 3), 5)).graph
+    assert feedback_vertex_set(g, 12).exceeded
+    assert len(calls) <= 13
 
 
 def test_fvs_forest_is_zero():
@@ -296,7 +367,6 @@ def test_adjacency_is_one_increasing_symmetric_list_per_vertex():
         for v, nbrs in enumerate(g.adj):
             assert all(a < b for a, b in zip(nbrs, nbrs[1:])), (g, v)
             assert all(v in g.adj[w] for w in nbrs), (g, v)
-            assert g.masks[v] == sum(1 << w for w in nbrs), (g, v)
         # repeated edges in both orientations collapse to one
         doubled = edges + [(v, u) for u, v in edges] + edges[::-1]
         rng.shuffle(doubled)
@@ -308,19 +378,19 @@ def test_fvs_lower_bound_is_at_most_the_minimum():
     rng = random.Random(47)
     graphs = list(_fvs_families()) + [random_graph(rng.randint(1, 9), rng.random(), rng) for _ in range(60)]
     for g in graphs:
-        lower, _ = fvs_bounds(g)
+        lower, _ = fvs_bounds(g, g.num_vertices)
         assert lower <= len(brute_lex_min_fvs(g, g.num_vertices)), g
     for n in range(3, 9):
-        assert fvs_bounds(cycle_graph(n))[0] == 1
-    assert fvs_bounds(complete_graph(4))[0] == brute_min_fvs(complete_graph(4), 4) == 2
-    assert fvs_bounds(path_graph(5)) == (0, ())
+        assert fvs_bounds(cycle_graph(n), n)[0] == 1
+    assert fvs_bounds(complete_graph(4), 4)[0] == brute_min_fvs(complete_graph(4), 4) == 2
+    assert fvs_bounds(path_graph(5), 5) == (0, ())
 
 
 def test_greedy_fvs_is_a_feedback_vertex_set():
     rng = random.Random(53)
     graphs = list(_fvs_families()) + [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(60)]
     for g in graphs:
-        lower, greedy = fvs_bounds(g)
+        lower, greedy = fvs_bounds(g, g.num_vertices)
         assert list(greedy) == sorted(set(greedy))
         assert is_forest_by_union_find(g, greedy), g
         assert len(greedy) >= lower
@@ -330,7 +400,7 @@ def test_witness_is_lex_smallest_when_the_greedy_fvs_is_minimum_but_not_lex_smal
     # Greedy deletes 1 (degree 3, the smallest index of four) and then 2;
     # {0, 2} has the same size and is lexicographically smaller.
     g = Graph(5, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)])
-    assert fvs_bounds(g)[1] == (1, 2)
+    assert fvs_bounds(g, g.num_vertices)[1] == (1, 2)
     assert feedback_vertex_set(g, 12).witness == brute_lex_min_fvs(g, 12) == (0, 2)
 
 
@@ -524,7 +594,7 @@ def _graphs_where(keep, count: int, seed: int):
     while count:
         g = random_graph(rng.randint(5, 11), rng.uniform(0.2, 0.6), rng)
         lex = brute_lex_min_fvs(g, g.num_vertices)
-        if keep(fvs_bounds(g)[1], lex):
+        if keep(fvs_bounds(g, g.num_vertices)[1], lex):
             count -= 1
             yield g, lex
 
