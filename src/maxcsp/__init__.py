@@ -26,7 +26,6 @@ from .model import (
     normalize_parity,
     or_clause,
     parity,
-    simplify_fix_variable,
 )
 from .graphs import Graph, IncidenceGraph, VertexSplit, build_incidence_graph
 from .structure import (
@@ -46,7 +45,7 @@ from .oracle import (
     parity_gauss_satisfiable,
     random_formula,
 )
-from .forest_solver import half_guarantee_value, peel_forest, solve_forest
+from .forest_solver import peel_forest, solve_forest
 from .cover_solver import residual_exact_max, solve_via_vertex_cover
 from .fvs_solver import approx_via_fvs, plan_route
 from .cnf_approx import (
@@ -54,7 +53,6 @@ from .cnf_approx import (
     SparseVariableSelection,
     approx_max_cnf,
     clause_partition,
-    expected_unsatisfied,
     is_balanced,
     select_sparse_variables,
 )
@@ -67,7 +65,6 @@ from .reductions import (
     cnf_to_majority,
     complete_mcc,
     edgeless_mcc,
-    has_multicolored_clique,
     mcc_to_cnf,
     mcc_to_dnf,
     mcc_to_threshold,

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ContractViolationError,
@@ -274,15 +274,6 @@ def _best_in_batch(
             best = value, t, columns
     value, t, columns = best
     return value, Assignment(tuple((column >> t) & 1 for column in columns))
-
-
-def expected_unsatisfied(f: Formula, clause_indices: Iterable[int] | None = None) -> Fraction:
-    """Expected number of clauses a uniform random assignment leaves false."""
-    _require_cnf(f)
-    indices = range(f.num_constraints) if clause_indices is None else clause_indices
-    return sum(
-        (Fraction(1, 2 ** f.constraints[j].arity) for j in indices), Fraction(0)
-    )
 
 
 def approx_max_cnf(

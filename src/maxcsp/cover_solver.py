@@ -25,8 +25,8 @@ from .model import Assignment, Constraint, Formula, Kind, Literal, satisfied_cou
 from .oracle import OracleResult, _BitCounts
 
 # Type-class search nodes (``feasible_true_counts``) that one
-# ``residual_exact_max`` call may visit in all: about 30 times the largest
-# total of the test suite and the benchmark corpora at seeds 0-3 (3 318).
+# ``residual_exact_max`` call may visit in all: about 60 times the largest
+# total of the test suite and the benchmark corpora at seeds 0-3 (1 552).
 RESIDUAL_NODE_BUDGET = 100_000
 
 
@@ -104,8 +104,17 @@ def feasible_true_counts(
             return False
         if ci == len(vectors):
             return True
+        # try only the counts whose child passes the prune above: a +1 entry
+        # bounds the count from below, a -1 entry from above
         vec = vectors[ci]
-        for count in range(sizes[ci] + 1):
+        lo, hi = 0, sizes[ci]
+        for i, entry in enumerate(vec):
+            slack = sat[i] + suffix_gain[ci + 1][i] - targets[i]
+            if entry == 1:
+                lo = max(lo, -slack)
+            elif entry == -1:
+                hi = min(hi, slack)
+        for count in range(lo, hi + 1):
             nxt = list(sat)
             for i, entry in enumerate(vec):
                 if entry == 1:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .graphs import IncidenceGraph, VertexSplit, bfs_tree, build_incidence_graph, find_cycle
-from .model import Assignment, Formula, Kind, as_threshold_formula
+from .model import Assignment, Formula, Kind
 from .oracle import OracleResult
 
 
@@ -75,7 +75,7 @@ def solve_forest(f: Formula | Forest, values: Sequence[int] = ()) -> OracleResul
 def peel_forest(f: Formula | Forest, values: Sequence[int] = ()) -> PeelOutcome:
     """One peel of ``f``, compiled first when it is a ``Formula``.  ``values``
     sets ``f.fixed`` in order; each true literal lowers its constraint's
-    threshold by one, down to 0, as ``simplify_fix_variable`` does."""
+    threshold by one, down to 0."""
     forest = f if isinstance(f, Forest) else _compile(f)
     inc, signs, thresholds = forest.inc, forest.signs, list(forest.thresholds)
     n, m, adj = inc.num_vars, inc.num_constraints, inc.graph.adj
@@ -152,20 +152,3 @@ def peel_forest(f: Formula | Forest, values: Sequence[int] = ()) -> PeelOutcome:
         raise AssertionError("peel terminated with live constraints")
     return PeelOutcome(Assignment(tuple(bits)), steps, tally[0], tally[1])
 
-
-def half_guarantee_value(f: Formula) -> int:
-    """Solve a forest instance whose thresholds do not exceed their arities.
-
-    For such instances the peel satisfies at least half of all constraints;
-    the returned optimum is checked against that bound.
-    """
-    thr = as_threshold_formula(f)
-    for c in thr.constraints:
-        if c.threshold > c.arity:  # type: ignore[operator]
-            raise PreconditionError(
-                "half guarantee requires every threshold to be at most the arity"
-            )
-    value = solve_forest(thr).value
-    if 2 * value < thr.num_constraints:
-        raise AssertionError("half guarantee violated; this is a solver bug")
-    return value

@@ -297,47 +297,3 @@ def as_threshold(c: Constraint) -> Constraint:
 def as_threshold_formula(f: Formula) -> Formula:
     return Formula(f.num_vars, tuple(as_threshold(c) for c in f.constraints))
 
-
-def simplify_fix_variable(f: Formula, var: int, value: int) -> tuple[Formula, int]:
-    """Eliminate ``var`` from ``f`` by fixing it to ``value``.
-
-    Returns the residual formula (same num_vars, the variable simply no
-    longer occurs) together with the number of constraints that became
-    permanently satisfied and were removed.  MAJORITY constraints touched by
-    the elimination are converted to explicit THRESHOLD first so their
-    threshold does not re-derive from the shrunken arity.
-
-    For every assignment ``a`` of the remaining variables:
-    ``count_satisfied(f, a with var=value) == delta + count_satisfied(residual, a)``.
-    """
-    if not 1 <= var <= f.num_vars:
-        raise ContractViolationError(f"variable {var} is not defined in the formula")
-    if value not in (0, 1):
-        raise ContractViolationError("value must be 0 or 1")
-    out: list[Constraint] = []
-    delta = 0
-    for c in f.constraints:
-        if var not in c.variables:
-            out.append(c)
-            continue
-        lit = next(l for l in c.literals if l.var == var)
-        lit_true = bool(value) if lit.positive else not value
-        rest = tuple(l for l in c.literals if l.var != var)
-        if c.kind is Kind.OR:
-            if lit_true:
-                delta += 1
-            else:
-                out.append(Constraint(Kind.OR, rest))
-        elif c.kind is Kind.AND:
-            if lit_true:
-                out.append(Constraint(Kind.AND, rest))
-            # a falsified AND is permanently unsatisfied and dropped, delta += 0
-        elif c.kind is Kind.PARITY:
-            rhs = c.parity_rhs ^ 1 if lit_true else c.parity_rhs
-            out.append(Constraint(Kind.PARITY, rest, parity_rhs=rhs))
-        else:
-            t = c.effective_threshold()
-            if lit_true:
-                t = max(t - 1, 0)
-            out.append(Constraint(Kind.THRESHOLD, rest, threshold=t))
-    return Formula(f.num_vars, tuple(out)), delta

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .errors import ContractViolationError, MalformedInstanceError
 from .model import (
@@ -91,23 +90,6 @@ def random_mcc(parts: int, part_size: int, edge_prob: float, seed: int) -> MccGr
                     if rng.random() < edge_prob:
                         edges.add(((i, u), (j, v)))
     return MccGraph(parts, part_size, frozenset(edges))
-
-
-def has_multicolored_clique(g: MccGraph) -> bool:
-    """Direct enumeration over one vertex per part; exponential, test scale."""
-    choices = range(1, g.part_size + 1)
-    for pick in product(choices, repeat=g.parts):
-        ok = True
-        for i in range(1, g.parts + 1):
-            for j in range(i + 1, g.parts + 1):
-                if not g.has_edge(i, pick[i - 1], j, pick[j - 1]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 @dataclass

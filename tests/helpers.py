@@ -6,17 +6,24 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from maxcsp import (
     Assignment,
     Constraint,
+    ContractViolationError,
     Formula,
     Graph,
     Kind,
     Literal,
+    MccGraph,
+    PreconditionError,
     VertexSplit,
+    as_threshold_formula,
     count_satisfied,
+    solve_forest,
 )
+from maxcsp.cnf_approx import _require_cnf
 
 
 def naive_max_csp(f: Formula) -> tuple[int, Assignment]:
@@ -44,6 +51,95 @@ def naive_max_value(f: Formula) -> int:
     return max(map(sum, zip(*(_satisfied_column(f.num_vars, c) for c in f.constraints))), default=0)
 
 
+def simplify_fix_variable(f: Formula, var: int, value: int) -> tuple[Formula, int]:
+    """Eliminate ``var`` from ``f`` by fixing it to ``value``.
+
+    Returns the residual formula (same num_vars, the variable simply no
+    longer occurs) together with the number of constraints that became
+    permanently satisfied and were removed.  MAJORITY constraints touched by
+    the elimination are converted to explicit THRESHOLD first so their
+    threshold does not re-derive from the shrunken arity.
+
+    For every assignment ``a`` of the remaining variables:
+    ``count_satisfied(f, a with var=value) == delta + count_satisfied(residual, a)``.
+    """
+    if not 1 <= var <= f.num_vars:
+        raise ContractViolationError(f"variable {var} is not defined in the formula")
+    if value not in (0, 1):
+        raise ContractViolationError("value must be 0 or 1")
+    out: list[Constraint] = []
+    delta = 0
+    for c in f.constraints:
+        if var not in c.variables:
+            out.append(c)
+            continue
+        lit = next(l for l in c.literals if l.var == var)
+        lit_true = bool(value) if lit.positive else not value
+        rest = tuple(l for l in c.literals if l.var != var)
+        if c.kind is Kind.OR:
+            if lit_true:
+                delta += 1
+            else:
+                out.append(Constraint(Kind.OR, rest))
+        elif c.kind is Kind.AND:
+            if lit_true:
+                out.append(Constraint(Kind.AND, rest))
+            # a falsified AND is permanently unsatisfied and dropped, delta += 0
+        elif c.kind is Kind.PARITY:
+            rhs = c.parity_rhs ^ 1 if lit_true else c.parity_rhs
+            out.append(Constraint(Kind.PARITY, rest, parity_rhs=rhs))
+        else:
+            t = c.effective_threshold()
+            if lit_true:
+                t = max(t - 1, 0)
+            out.append(Constraint(Kind.THRESHOLD, rest, threshold=t))
+    return Formula(f.num_vars, tuple(out)), delta
+
+
+def half_guarantee_value(f: Formula) -> int:
+    """Solve a forest instance whose thresholds do not exceed their arities.
+
+    For such instances the peel satisfies at least half of all constraints;
+    the returned optimum is checked against that bound.
+    """
+    thr = as_threshold_formula(f)
+    for c in thr.constraints:
+        if c.threshold > c.arity:  # type: ignore[operator]
+            raise PreconditionError(
+                "half guarantee requires every threshold to be at most the arity"
+            )
+    value = solve_forest(thr).value
+    if 2 * value < thr.num_constraints:
+        raise AssertionError("half guarantee violated; this is a solver bug")
+    return value
+
+
+def expected_unsatisfied(f: Formula, clause_indices: Iterable[int] | None = None) -> Fraction:
+    """Expected number of clauses a uniform random assignment leaves false."""
+    _require_cnf(f)
+    indices = range(f.num_constraints) if clause_indices is None else clause_indices
+    return sum(
+        (Fraction(1, 2 ** f.constraints[j].arity) for j in indices), Fraction(0)
+    )
+
+
+def has_multicolored_clique(g: MccGraph) -> bool:
+    """Direct enumeration over one vertex per part; exponential, test scale."""
+    choices = range(1, g.part_size + 1)
+    for pick in itertools.product(choices, repeat=g.parts):
+        ok = True
+        for i in range(1, g.parts + 1):
+            for j in range(i + 1, g.parts + 1):
+                if not g.has_edge(i, pick[i - 1], j, pick[j - 1]):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
 def subset_search_residual_max(f: Formula) -> tuple[int, Assignment]:
     """Plain subset search of the exact residual, without the cost routing.
 
@@ -51,7 +147,6 @@ def subset_search_residual_max(f: Formula) -> tuple[int, Assignment]:
     size, and returns on the first feasible one; the witness sets the
     lowest-index variables of each type class true.
     """
-    from maxcsp import as_threshold_formula
     from maxcsp.cover_solver import feasible_true_counts
 
     thr = as_threshold_formula(f)
@@ -86,7 +181,7 @@ def sigma_loop_vertex_cover(f: Formula, cover: VertexSplit) -> tuple[int, Assign
     The first sigma with a strictly larger total wins.  ``cover`` must be a
     valid vertex cover of a PARITY-free formula.
     """
-    from maxcsp import as_threshold_formula, eval_constraint, residual_exact_max, simplify_fix_variable
+    from maxcsp import eval_constraint, residual_exact_max
 
     thr = as_threshold_formula(f)
     cover_vars = sorted(cover.variables)
@@ -122,8 +217,6 @@ def sigma_loop_fvs(f: Formula, fvs: VertexSplit) -> tuple[int, Assignment]:
     on the whole formula.  The first sigma with a strictly larger score wins.
     ``fvs`` must be a feedback vertex set of a PARITY-free formula.
     """
-    from maxcsp import as_threshold_formula, simplify_fix_variable, solve_forest
-
     thr = as_threshold_formula(f)
     guess_vars = sorted(fvs.variables)
     kept = [j for j in range(thr.num_constraints) if j not in fvs.constraints]
@@ -625,7 +718,7 @@ def fraction_select_sparse_variables(partition, eps: Fraction):
     """``cnf_approx.select_sparse_variables`` with every ratio test a
     ``Fraction`` comparison, as one plain greedy loop; returns
     (variables, remaining_long, audit) and raises where it raises."""
-    from maxcsp import LemmaViolationError, PreconditionError
+    from maxcsp import LemmaViolationError
 
     if not 0 < eps < 1:
         raise PreconditionError(f"epsilon must be in (0, 1), got {eps}")

@@ -30,10 +30,7 @@ from maxcsp import (
     cnf_to_majority,
     count_satisfied,
     edgeless_mcc,
-    expected_unsatisfied,
     feedback_vertex_set,
-    half_guarantee_value,
-    has_multicolored_clique,
     is_balanced,
     is_feedback_vertex_set,
     max_csp_bruteforce,
@@ -56,11 +53,14 @@ from maxcsp.cli import main as cli_main
 
 from helpers import (
     exhaustive_forest_threshold_formulas,
+    expected_unsatisfied,
+    half_guarantee_value,
+    has_multicolored_clique,
     planted_satisfiable_cnf,
     random_cnf,
     random_cover_instance,
-    random_forest_formula,
     random_fill,
+    random_forest_formula,
     random_small_fvs_instance,
     satisfying_assignments,
 )

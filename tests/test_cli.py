@@ -395,7 +395,7 @@ def test_each_request_builds_one_incidence_graph_and_copies_no_formula(tmp_path,
     from maxcsp import graphs, model
 
     calls: Counter = Counter()
-    originals = (graphs.build_incidence_graph, model.as_threshold_formula, model.simplify_fix_variable)
+    originals = (graphs.build_incidence_graph, model.as_threshold_formula)
 
     def spy(fn):
         def counted(*args, **kwargs):
@@ -413,7 +413,7 @@ def test_each_request_builds_one_incidence_graph_and_copies_no_formula(tmp_path,
     def builds_per_unit(argv, units):
         calls.clear()
         assert main(argv) == 0
-        assert calls["as_threshold_formula"] == calls["simplify_fix_variable"] == 0
+        assert calls["as_threshold_formula"] == 0
         assert calls["build_incidence_graph"] <= units
 
     six = write(tmp_path, "six.mcsp", SIX_VARIABLE)
@@ -917,12 +917,14 @@ def test_importing_the_cli_loads_no_multiprocessing():
 
 def test_no_command_loads_numpy(tmp_path):
     # One fresh interpreter in which importing numpy fails: importing the
-    # package and every command, the oracle on 17 variables and cw-as's
-    # batched scoring included, run to exit 0 without it.
+    # package and every command, the oracle on 17 variables, cw-as's batched
+    # scoring and every generate kind of the benchmark included, run to exit
+    # 0 without it.
     texts = (("f.mcsp", FOREST), ("h.mcsp", HUB), ("p.mcsp", PARITY_SAT), ("six.mcsp", SIX_VARIABLE), ("c.mcsp", CNF))
     forest, hub, par, six, cnf = (write(tmp_path, n, t) for n, t in texts)
     wide = write(tmp_path, "wide.mcsp", "p mcsp 17 2\no 1 17 0\nt 2 -1 -17 0\n")
     out = str(tmp_path / "out.mcsp")
+    gen_cnf = str(tmp_path / "gen-cnf.mcsp")
     commands = [
         ["solve", forest, "--alg", "tree"],
         ["solve", hub, "--alg", "fvs-as", "--epsilon", "1/2"],
@@ -936,6 +938,10 @@ def test_no_command_loads_numpy(tmp_path):
         ["solve", wide, "--alg", "oracle"],
         ["solve", cnf, "--alg", "cw-as", "--epsilon", "1/4"],
         ["compare", "--algs", "oracle,cw-as", "--epsilon", "1/4", "--dir", str(tmp_path), "--workers", "1", "-o", "-"],
+        ["generate", "mcc-cnf", "-o", gen_cnf, "--k", "3", "--n", "2", "--edge-prob", "0.6", "--seed", "1"],
+        ["generate", "mcc-dnf", "-o", out, "--k", "3", "--n", "2", "--edge-prob", "0.6", "--seed", "1"],
+        ["generate", "cnf2maj", "-o", out, "--input", gen_cnf],
+        ["generate", "thr2maj", "-o", out, "--input", forest],
     ]
     code = (
         "import contextlib, io, json, sys\n"

@@ -18,7 +18,6 @@ from maxcsp import (
     approx_max_cnf,
     clause_partition,
     count_satisfied,
-    expected_unsatisfied,
     is_balanced,
     max_csp_bruteforce,
     or_clause,
@@ -29,6 +28,7 @@ from maxcsp import (
 from maxcsp import cnf_approx
 from helpers import (
     best_of_trials,
+    expected_unsatisfied,
     fraction_clause_split,
     fraction_select_sparse_variables,
     planted_satisfiable_cnf,

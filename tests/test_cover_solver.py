@@ -20,13 +20,12 @@ from maxcsp import (
     or_clause,
     random_formula,
     residual_exact_max,
-    simplify_fix_variable,
     solve_via_vertex_cover,
 )
 from maxcsp import cover_solver, oracle
 from maxcsp.cover_solver import feasible_true_counts
 
-from helpers import random_cover_instance, sigma_loop_vertex_cover, subset_search_residual_max
+from helpers import random_cover_instance, sigma_loop_vertex_cover, simplify_fix_variable, subset_search_residual_max
 
 
 def _all_constraints(f: Formula) -> VertexSplit:
@@ -474,3 +473,29 @@ def test_residual_node_budget_counts_every_search_of_one_call(monkeypatch):
     message = f"residual of 8 constraints over 5 variables needs more than {needed - 1} search nodes"
     with pytest.raises(ResourceLimitError, match=message):
         residual_exact_max(f)
+
+
+def test_type_class_search_visits_do_not_grow_with_class_size():
+    # Four THRESHOLD constraints on disjoint quarters, each needing half its
+    # quarter (an incidence vertex cover of 4), and one class that would need
+    # at least half and at most half less one of its variables true.  Only
+    # the counts whose child can still meet every threshold are tried, so
+    # the visits do not depend on n.
+    def search(n, constraints):
+        nodes = []
+        selection = feasible_true_counts(n, constraints, visit=lambda: nodes.append(1))
+        return selection, len(nodes)
+
+    for n in (2**10, 2**12):
+        q = n // 4
+        quarters = [
+            Constraint(Kind.THRESHOLD, tuple(Literal(x, True) for x in range(i * q + 1, (i + 1) * q + 1)), threshold=q // 2)
+            for i in range(4)
+        ]
+        selection, visits = search(n, quarters)
+        assert sorted(selection.values()) == [q // 2] * 4 and visits == 5
+        clash = [
+            Constraint(Kind.THRESHOLD, tuple(Literal(x, True) for x in range(1, n + 1)), threshold=n // 2),
+            Constraint(Kind.THRESHOLD, tuple(Literal(x, False) for x in range(1, n + 1)), threshold=n - n // 2 + 1),
+        ]
+        assert search(n, clash) == (None, 1)

@@ -7,7 +7,6 @@ from maxcsp import (
     PreconditionError,
     at_least,
     count_satisfied,
-    half_guarantee_value,
     majority,
     max_csp_bruteforce,
     or_clause,
@@ -18,6 +17,7 @@ from maxcsp import (
 
 from helpers import (
     exhaustive_forest_threshold_formulas,
+    half_guarantee_value,
     naive_max_csp,
     random_forest_formula,
 )

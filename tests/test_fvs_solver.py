@@ -15,12 +15,11 @@ from maxcsp import (
     majority,
     max_csp_bruteforce,
     plan_route,
-    simplify_fix_variable,
     solve_forest,
     solve_via_vertex_cover,
 )
 
-from helpers import random_forest_formula, random_small_fvs_instance
+from helpers import random_forest_formula, random_small_fvs_instance, simplify_fix_variable
 
 EMPTY = VertexSplit(frozenset(), frozenset())
 

@@ -19,11 +19,10 @@ from maxcsp import (
     normalize_parity,
     or_clause,
     parity,
-    simplify_fix_variable,
 )
 from maxcsp.model import satisfied_counter
 
-from helpers import satisfying_assignments
+from helpers import satisfying_assignments, simplify_fix_variable
 
 
 def test_eval_or_with_negative_literal():

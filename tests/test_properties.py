@@ -26,13 +26,13 @@ from maxcsp import (  # noqa: E402
     max_csp_bruteforce,
     parse_instance,
     serialize_instance,
-    simplify_fix_variable,
     solve_forest,
     solve_via_vertex_cover,
     vertex_cover_number,
 )
 from maxcsp import oracle  # noqa: E402
 from maxcsp.model import eval_constraint, satisfied_counter  # noqa: E402
+from helpers import simplify_fix_variable  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 # 60 draws of ``formulas()`` miss a PARITY constraint with an odd number of

@@ -16,7 +16,6 @@ from maxcsp import (
     complete_mcc,
     edgeless_mcc,
     feedback_vertex_set,
-    has_multicolored_clique,
     is_feedback_vertex_set,
     majority,
     max_csp_bruteforce,
@@ -30,6 +29,7 @@ from maxcsp import (
     threshold_to_majority,
 )
 
+from helpers import has_multicolored_clique
 
 
 def single_edge_graph():

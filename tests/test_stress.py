@@ -26,6 +26,7 @@ from helpers import (
     random_forest_formula,
     random_fvs_variable_hub_instance,
     random_small_fvs_instance,
+    simplify_fix_variable,
 )
 
 
@@ -189,7 +190,7 @@ def test_parity_gauss_wide_systems():
 
 
 def test_simplify_chain_full_elimination_matches_eval():
-    from maxcsp import random_formula, simplify_fix_variable
+    from maxcsp import random_formula
 
     rng = random.Random(75)
     for trial in range(40):
